@@ -10,8 +10,6 @@
 package repro
 
 import (
-	"context"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -19,7 +17,6 @@ import (
 	"repro/internal/config"
 	"repro/internal/energy"
 	"repro/internal/experiments"
-	"repro/internal/runner"
 	"repro/internal/sim"
 	"repro/internal/workload"
 )
@@ -309,57 +306,4 @@ func BenchmarkClusterCachedScatterGather(b *testing.B) {
 	}
 	b.ReportMetric(ratio, "off_over_cached_p99_x")
 	b.ReportMetric(hitRate*100, "best_hit_rate_%")
-}
-
-// runFullEvaluation executes every simulator-backed experiment once with at
-// most `workers` simulations in flight across all of them — the same shape
-// as `reachsim -exp all -j workers`.
-func runFullEvaluation(workers int) error {
-	m := workload.DefaultModel()
-	pool := runner.NewPool(workers)
-	opt := experiments.WithPool(pool)
-	entries := []func() error{
-		func() error { _, err := experiments.Fig8(m, opt); return err },
-		func() error { _, err := experiments.Fig9(m, opt); return err },
-		func() error { _, err := experiments.Fig10(m, opt); return err },
-		func() error { _, err := experiments.Fig11(m, opt); return err },
-		func() error { _, err := experiments.Fig12(m, opt); return err },
-		func() error { _, err := experiments.Fig13(m, opt); return err },
-		func() error { _, err := experiments.AblationGAM(m, opt); return err },
-		func() error { _, err := experiments.AblationMapping(m, opt); return err },
-		func() error { _, err := experiments.AblationGranularity(m, opt); return err },
-		func() error { _, err := experiments.AblationNSBuffer(m, opt); return err },
-		func() error { _, _, err := experiments.LoadSweepBoth(m, opt); return err },
-		func() error { _, err := experiments.SkewExperiment(m, opt); return err },
-		func() error { _, err := experiments.ReverseLookup(m, opt); return err },
-		func() error { _, err := experiments.MultiTenant(m, opt); return err },
-	}
-	// Unbounded outer fan-out: only leaf simulations hold pool slots.
-	_, err := runner.Map(context.Background(), runner.Options{Workers: len(entries)}, entries,
-		func(_ context.Context, _ int, fn func() error) (struct{}, error) {
-			return struct{}{}, fn()
-		})
-	return err
-}
-
-// BenchmarkFullEvaluation measures the whole evaluation's wall clock
-// serially (-j 1) and on the default pool (-j GOMAXPROCS) — the headline
-// numbers for the parallel runner.
-func BenchmarkFullEvaluation(b *testing.B) {
-	for _, bc := range []struct {
-		name    string
-		workers int
-	}{
-		{"serial", 1},
-		{"parallel", 0}, // GOMAXPROCS
-	} {
-		b.Run(bc.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if err := runFullEvaluation(bc.workers); err != nil {
-					b.Fatal(err)
-				}
-			}
-			b.ReportMetric(float64(runtime.GOMAXPROCS(0)), "gomaxprocs")
-		})
-	}
 }

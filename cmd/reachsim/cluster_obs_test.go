@@ -5,8 +5,10 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/metrics"
 )
@@ -16,11 +18,27 @@ import (
 // combination is accepted. Before observability reached the -cluster
 // path, `-cluster -metrics` ran and did nothing; now the ignored combos
 // fail fast and the meaningful ones do work (see the artifact test below).
+// A numeric value the run would have to replace is rejected by name.
 func TestValidateFlagMatrix(t *testing.T) {
-	given := func(names ...string) map[string]bool {
-		m := map[string]bool{}
-		for _, n := range names {
-			m[n] = true
+	// given maps "name" to a set flag and "name=value" to a set flag with
+	// that numeric value (int, float or duration, as its flag parses it).
+	given := func(flags ...string) map[string]any {
+		m := map[string]any{}
+		for _, f := range flags {
+			name, val, ok := strings.Cut(f, "=")
+			if !ok {
+				m[name] = true
+				continue
+			}
+			if n, err := strconv.Atoi(val); err == nil {
+				m[name] = n
+			} else if x, err := strconv.ParseFloat(val, 64); err == nil {
+				m[name] = x
+			} else if d, err := time.ParseDuration(val); err == nil {
+				m[name] = d
+			} else {
+				t.Fatalf("bad test value %q", f)
+			}
 		}
 		return m
 	}
@@ -32,7 +50,6 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "stats"}, "-stats"},
 		{[]string{"cluster", "list"}, "-list"},
 		{[]string{"cluster", "config"}, "-config"},
-		{[]string{"cluster", "benchout"}, "-benchout"},
 		{[]string{"cluster", "j"}, "-j"},
 		{[]string{"cluster", "qtrace"}, "-qtrace"},
 		{[]string{"cluster", "progress"}, "-progress"},
@@ -53,6 +70,15 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "flight-window"}, "-flight-window requires -flight"},
 		{[]string{"cluster", "detect"}, "-detect requires -flight"},
 		{[]string{"cluster", "detect", "flight-window"}, "requires -flight"},
+		{[]string{"j=-2"}, "-j must not be negative"},
+		{[]string{"pj=-3"}, "-pj must not be negative"},
+		{[]string{"cluster", "cache=-5"}, "-cache must not be negative"},
+		{[]string{"cluster", "cache", "cache-ttl=-1.5"}, "-cache-ttl must not be negative"},
+		{[]string{"cluster", "nodes=0"}, "-nodes must be positive"},
+		{[]string{"cluster", "slo=-1"}, "-slo must be positive"},
+		{[]string{"cluster", "slo", "slo-window=0"}, "-slo-window must be positive"},
+		{[]string{"cluster", "flight", "flight-window=-5"}, "-flight-window must be positive"},
+		{[]string{"metrics-interval=0s"}, "-metrics-interval must be positive"},
 	}
 	for _, c := range rejected {
 		err := validateFlags(given(c.flags...))
@@ -62,11 +88,13 @@ func TestValidateFlagMatrix(t *testing.T) {
 	}
 	accepted := [][]string{
 		{},
-		{"exp", "j", "csv", "metrics", "metrics-interval", "spans", "qtrace", "progress", "benchout"},
+		{"exp", "j", "csv", "metrics", "metrics-interval", "spans", "qtrace", "progress"},
+		{"exp", "j=0", "pj=0", "metrics-interval=10us"}, // 0 = GOMAXPROCS / config default
 		{"exp", "http", "http-linger"},
 		{"pj"}, // clustersweep spends -pj without -cluster
 		{"trace", "spans", "metrics-interval"},
 		{"cluster", "nodes", "route", "pj", "cache", "cache-ttl", "csv"},
+		{"cluster", "nodes=8", "cache=0", "cache-ttl=0", "slo=250", "slo-window=50", "flight", "flight-window=1000"},
 		{"cluster", "metrics", "metrics-interval", "spans", "trace", "slo", "slo-window", "http", "http-linger"},
 		{"cluster", "flight"},
 		{"cluster", "flight", "flight-window", "detect", "arrival", "slo", "metrics", "trace"},

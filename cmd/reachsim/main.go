@@ -22,7 +22,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -35,7 +34,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/config"
-	"repro/internal/energy"
 	"repro/internal/experiments"
 	"repro/internal/flight"
 	"repro/internal/inspect"
@@ -47,19 +45,6 @@ import (
 	"repro/internal/trace"
 	"repro/internal/workload"
 )
-
-var experimentIDs = []string{
-	"table1", "table2", "table3", "table4",
-	"fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-	"ablation-gam", "ablation-mapping", "ablation-nsbuffer", "ablation-granularity",
-	"motivation", "loadsweep", "skew", "reverselookup", "multitenant", "recallsweep",
-}
-
-// extraIDs are runnable and listed but excluded from `-exp all`: the tail
-// sweep's Poisson runs and the cluster scale-out don't belong to the
-// paper's evaluation tables, and keeping them out preserves `-exp all`
-// output byte-for-byte.
-var extraIDs = []string{"cachesweep", "clustersweep", "taillatency"}
 
 // Fixed inputs of the -cluster single run, pinned so its stdout is a
 // stable golden for the CI cluster smoke.
@@ -87,42 +72,61 @@ const defaultFlightWindowMS = 1000
 const defaultSLOWindowMS = 250
 
 // validateFlags rejects combinations the selected mode would silently
-// ignore: every flag on the command line must do something. given holds
-// the names of flags that were explicitly set (flag.Visit order).
-func validateFlags(given map[string]bool) error {
-	if given["cluster"] {
+// ignore — every flag on the command line must do something — and
+// numeric values the run would otherwise have to replace. given maps the
+// name of every explicitly set flag to its value (flag.Getter.Get).
+func validateFlags(given map[string]any) error {
+	set := func(f string) bool { _, ok := given[f]; return ok }
+	if set("cluster") {
 		// -cluster runs exactly one pinned deployment: the experiment
 		// selection, config and sweep-concurrency knobs have nothing to
 		// apply to (observability flags -metrics/-spans/-trace/-slo all do).
-		for _, f := range []string{"exp", "stats", "list", "config", "benchout", "j", "qtrace", "progress"} {
-			if given[f] {
+		for _, f := range []string{"exp", "stats", "list", "config", "j", "qtrace", "progress"} {
+			if set(f) {
 				return fmt.Errorf("-%s does nothing with -cluster; drop one of them", f)
 			}
 		}
 	} else {
 		for _, f := range []string{"nodes", "route", "cache", "cache-ttl", "slo", "slo-window",
 			"flight", "flight-window", "detect", "arrival"} {
-			if given[f] {
+			if set(f) {
 				return fmt.Errorf("-%s requires -cluster", f)
 			}
 		}
 	}
-	if given["slo-window"] && !given["slo"] {
-		return fmt.Errorf("-slo-window requires -slo")
+	for _, dep := range [][2]string{
+		{"slo-window", "slo"}, {"flight-window", "flight"}, {"detect", "flight"},
+		{"cache-ttl", "cache"}, {"http-linger", "http"},
+	} {
+		if set(dep[0]) && !set(dep[1]) {
+			return fmt.Errorf("-%s requires -%s", dep[0], dep[1])
+		}
 	}
-	if given["flight-window"] && !given["flight"] {
-		return fmt.Errorf("-flight-window requires -flight")
+	// 0 keeps its documented meaning for these; only negatives are invalid.
+	for _, f := range []string{"j", "pj", "cache", "cache-ttl"} {
+		if v, ok := number(given[f]); ok && v < 0 {
+			return fmt.Errorf("-%s must not be negative, got %v", f, given[f])
+		}
 	}
-	if given["detect"] && !given["flight"] {
-		return fmt.Errorf("-detect requires -flight")
-	}
-	if given["cache-ttl"] && !given["cache"] {
-		return fmt.Errorf("-cache-ttl requires -cache")
-	}
-	if given["http-linger"] && !given["http"] {
-		return fmt.Errorf("-http-linger requires -http")
+	for _, f := range []string{"nodes", "slo", "slo-window", "flight-window", "metrics-interval"} {
+		if v, ok := number(given[f]); ok && v <= 0 {
+			return fmt.Errorf("-%s must be positive, got %v", f, given[f])
+		}
 	}
 	return nil
+}
+
+// number reads a numeric flag value; ok is false for any other type.
+func number(v any) (float64, bool) {
+	switch x := v.(type) {
+	case int:
+		return float64(x), true
+	case float64:
+		return x, true
+	case time.Duration:
+		return float64(x), true
+	}
+	return 0, false
 }
 
 func main() {
@@ -136,7 +140,6 @@ func main() {
 		jobs      = flag.Int("j", 0, "max simulations in flight across all experiments (0 = GOMAXPROCS)")
 		cpuProf   = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf   = flag.String("memprofile", "", "write a heap profile (post-GC) to this file on exit")
-		benchOut  = flag.String("benchout", "", "write a JSON wall-clock summary of the experiments to this file")
 		metricsF  = flag.String("metrics", "", "sample every run's resources and write the time series here (CSV, or JSON Lines when the path ends in .jsonl); also prints per-run bottleneck-attribution tables")
 		metricsIv = flag.Duration("metrics-interval", 0, "simulated-time sampling period for -metrics (default 10µs)")
 		spans     = flag.Bool("spans", false, "record GAM decision spans (merged into -trace timelines and .jsonl metrics dumps)")
@@ -158,8 +161,8 @@ func main() {
 		arrivalF  = flag.String("arrival", "", "with -cluster, arrival process: poisson (default) or flash (a seeded flash crowd — the middle third of a longer query sequence arrives 8x faster)")
 	)
 	flag.Parse()
-	given := map[string]bool{}
-	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
+	given := map[string]any{}
+	flag.Visit(func(f *flag.Flag) { given[f.Name] = f.Value.(flag.Getter).Get() })
 	if err := validateFlags(given); err != nil {
 		fatal(err)
 	}
@@ -269,13 +272,12 @@ func main() {
 
 	ids := []string{*exp}
 	if *exp == "all" {
-		ids = experimentIDs
+		ids = experiments.IDs(false)
 	}
 	ra := runAllOptions{
 		jobs:     *jobs,
 		pj:       *pjF,
 		csv:      *csvOut,
-		benchOut: *benchOut,
 		progress: *progress,
 	}
 	if *metricsF != "" {
@@ -299,7 +301,7 @@ func main() {
 		}
 		ra.qtrace = qo
 	}
-	if err := runAll(os.Stdout, ids, cfg, m, ra); err != nil {
+	if _, err := runAll(os.Stdout, ids, cfg, m, ra); err != nil {
 		fatal(err)
 	}
 	if ra.inspector != nil && *httpWait > 0 {
@@ -314,17 +316,16 @@ func main() {
 // accident.
 func listOutput() string {
 	var b strings.Builder
-	ids := append([]string(nil), experimentIDs...)
-	sort.Strings(ids)
-	for _, id := range ids {
-		fmt.Fprintln(&b, id)
-	}
-	fmt.Fprintln(&b)
-	fmt.Fprintln(&b, "extra (runnable, excluded from -exp all):")
-	extras := append([]string(nil), extraIDs...)
-	sort.Strings(extras)
-	for _, id := range extras {
-		fmt.Fprintln(&b, id)
+	for _, extra := range []bool{false, true} {
+		if extra {
+			fmt.Fprintln(&b)
+			fmt.Fprintln(&b, "extra (runnable, excluded from -exp all):")
+		}
+		ids := experiments.IDs(extra)
+		sort.Strings(ids)
+		for _, id := range ids {
+			fmt.Fprintln(&b, id)
+		}
 	}
 	return b.String()
 }
@@ -588,12 +589,11 @@ func writeClusterTrace(path string, nodes int, cl *cluster.Cluster, rec *metrics
 }
 
 // runAllOptions are the execution/output knobs of runAll, beyond what to
-// run: concurrency, output format, wall-clock summary, observability.
+// run: concurrency, output format, observability.
 type runAllOptions struct {
 	jobs     int
 	pj       int // event-domain workers per cluster simulation (0 = config default)
 	csv      bool
-	benchOut string
 	progress bool
 	// metrics/metricsPath, when set, sample every RunSpec-based run and
 	// write the combined time series to metricsPath (CSV, or JSONL for
@@ -627,15 +627,14 @@ type clusterObsEntry struct {
 }
 
 // runAll executes the experiments concurrently on a shared simulation pool
-// and emits their tables in id order. The pool bounds the total number of
+// and emits their tables in id order; it also returns them, one slice per
+// id. The pool bounds the total number of
 // in-flight simulations at -j across all experiments (every experiment's
 // internal sweep draws from the same budget), so the output is identical
 // for any -j: tables are collected per experiment and printed in order,
 // and sampled metrics are collected per experiment in spec order.
-func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model, o runAllOptions) error {
+func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model, o runAllOptions) ([][]*report.Table, error) {
 	pool := runner.NewPool(o.jobs)
-	start := time.Now()
-	secs := make([]float64, len(ids)) // each index written by exactly one worker
 	obs := make([][]obsEntry, len(ids))
 	cobs := make([][]clusterObsEntry, len(ids))
 	qobs := make([][]obsEntry, len(ids))
@@ -674,38 +673,29 @@ func runAll(w io.Writer, ids []string, cfg config.SystemConfig, m workload.Model
 						}
 					}))
 			}
-			t0 := time.Now()
-			tables, err := run(id, cfg, m, opts...)
-			secs[i] = time.Since(t0).Seconds()
-			return tables, err
+			return run(id, cfg, m, opts...)
 		})
 	if err != nil {
-		return err
+		return nil, err
 	}
-	total := time.Since(start).Seconds()
 	for _, tables := range results {
 		for _, t := range tables {
 			if err := emit(t, w, o.csv); err != nil {
-				return err
+				return nil, err
 			}
 		}
 	}
 	if o.metricsPath != "" {
 		if err := writeMetrics(w, o.metricsPath, obs, cobs, o.csv); err != nil {
-			return err
+			return nil, err
 		}
 	}
 	if o.qtracePath != "" {
 		if err := writeQTrace(o.qtracePath, qobs); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	if o.benchOut != "" {
-		if err := writeBenchOut(o.benchOut, ids, secs, total, o.jobs); err != nil {
-			return err
-		}
-	}
-	return nil
+	return results, nil
 }
 
 // writeMetrics dumps every sampled run's time series to path (CSV, or
@@ -818,158 +808,13 @@ func writeQTrace(path string, qobs [][]obsEntry) error {
 	return nil
 }
 
-// writeBenchOut dumps per-experiment and total wall-clock seconds as JSON —
-// the before/after evidence file for performance PRs (see BENCH_pr3.json).
-func writeBenchOut(path string, ids []string, secs []float64, total float64, jobs int) error {
-	type expTiming struct {
-		ID      string  `json:"id"`
-		Seconds float64 `json:"seconds"`
-	}
-	out := struct {
-		Jobs         int         `json:"jobs"`
-		TotalSeconds float64     `json:"total_seconds"`
-		Experiments  []expTiming `json:"experiments"`
-	}{Jobs: jobs, TotalSeconds: total}
-	for i, id := range ids {
-		out.Experiments = append(out.Experiments, expTiming{ID: id, Seconds: secs[i]})
-	}
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	enc := json.NewEncoder(f)
-	enc.SetIndent("", "  ")
-	return enc.Encode(out)
-}
-
+// run runs the registered experiment id (case-insensitive).
 func run(id string, cfg config.SystemConfig, m workload.Model, opts ...experiments.Option) ([]*report.Table, error) {
-	switch strings.ToLower(id) {
-	case "table1":
-		return []*report.Table{experiments.TableI(m)}, nil
-	case "table2":
-		return []*report.Table{experiments.TableII(cfg)}, nil
-	case "table3":
-		return []*report.Table{experiments.TableIII()}, nil
-	case "table4":
-		return []*report.Table{experiments.TableIV(energy.DefaultCosts())}, nil
-	case "fig8":
-		r, err := experiments.Fig8(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "fig9":
-		s, err := experiments.Fig9(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{s.Table("Fig 9")}, nil
-	case "fig10":
-		s, err := experiments.Fig10(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{s.Table("Fig 10")}, nil
-	case "fig11":
-		s, err := experiments.Fig11(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{s.Table("Fig 11")}, nil
-	case "fig12":
-		r, err := experiments.Fig12(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "fig13":
-		r, err := experiments.Fig13(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "ablation-gam":
-		r, err := experiments.AblationGAM(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "ablation-mapping":
-		r, err := experiments.AblationMapping(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "ablation-granularity":
-		r, err := experiments.AblationGranularity(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "recallsweep":
-		r, err := experiments.RecallSweep(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "multitenant":
-		r, err := experiments.MultiTenant(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "reverselookup":
-		r, err := experiments.ReverseLookup(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "skew":
-		r, err := experiments.SkewExperiment(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "loadsweep":
-		onchip, reach, err := experiments.LoadSweepBoth(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.LoadSweepTable(onchip, reach)}, nil
-	case "taillatency":
-		onchip, reach, err := experiments.TailLatencyBoth(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.TailLatencyTable(onchip, reach)}, nil
-	case "clustersweep":
-		r, err := experiments.DefaultClusterSweep(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.ClusterSweepTable(r)}, nil
-	case "cachesweep":
-		r, err := experiments.DefaultCacheSweep(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{experiments.CacheSweepTable(r)}, nil
-	case "ablation-nsbuffer":
-		r, err := experiments.AblationNSBuffer(m, opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	case "motivation":
-		r, err := experiments.Motivation(opts...)
-		if err != nil {
-			return nil, err
-		}
-		return []*report.Table{r.Table()}, nil
-	default:
+	e, ok := experiments.Lookup(id)
+	if !ok {
 		return nil, fmt.Errorf("unknown experiment %q (use -list)", id)
 	}
+	return e.Run(cfg, m, opts...)
 }
 
 func emit(t *report.Table, w io.Writer, csv bool) error {

@@ -1,43 +1,56 @@
 package main
 
 import (
+	"bytes"
 	"encoding/csv"
 	"encoding/json"
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/experiments"
 	"repro/internal/inspect"
 	"repro/internal/metrics"
 	"repro/internal/qtrace"
 	"repro/internal/workload"
 )
 
+// TestRunAllExperimentIDs pins `reachsim -exp all`: one runAll over every
+// registered non-extra experiment on the default pool must reproduce
+// testdata/exp_all.golden byte for byte (the output is identical at any
+// -j), and every experiment's tables must also render as CSV. Regenerate
+// the golden deliberately, with the diff explained, by
+// `go run ./cmd/reachsim -exp all > cmd/reachsim/testdata/exp_all.golden`.
 func TestRunAllExperimentIDs(t *testing.T) {
-	cfg := config.Default()
-	m := workload.DefaultModel()
-	for _, id := range experimentIDs {
-		id := id
+	ids := experiments.IDs(false)
+	var out bytes.Buffer
+	results, err := runAll(&out, ids, config.Default(), workload.DefaultModel(), runAllOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join("testdata", "exp_all.golden")
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(out.Bytes(), want) {
+		t.Errorf("-exp all output diverged from %s:\n%s", path, out.String())
+	}
+	for i, id := range ids {
 		t.Run(id, func(t *testing.T) {
-			tables, err := run(id, cfg, m)
-			if err != nil {
-				t.Fatalf("%s: %v", id, err)
-			}
-			if len(tables) == 0 {
+			if len(results[i]) == 0 {
 				t.Fatalf("%s produced no tables", id)
 			}
-			var sb strings.Builder
-			for _, tb := range tables {
-				if err := tb.Render(&sb); err != nil {
-					t.Fatal(err)
-				}
+			for _, tb := range results[i] {
+				var sb strings.Builder
 				if err := tb.CSV(&sb); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if sb.Len() == 0 {
-				t.Fatalf("%s rendered empty output", id)
+				if sb.Len() == 0 {
+					t.Fatalf("%s rendered empty CSV", id)
+				}
 			}
 		})
 	}
@@ -78,22 +91,16 @@ taillatency
 	}
 }
 
-// TestExtraIDsRunnable: ids outside "all" still run through the same
-// switch; the extras must stay out of experimentIDs so `-exp all` output
-// is unchanged.
+// TestExtraIDsRunnable: every extra experiment (listed, not in `-exp
+// all`) runs through the same lookup as the rest.
 func TestExtraIDsRunnable(t *testing.T) {
-	for _, extra := range extraIDs {
-		for _, id := range experimentIDs {
-			if id == extra {
-				t.Fatalf("%s joined -exp all; it must stay an extra id", extra)
-			}
-		}
-		tables, err := run(extra, config.Default(), workload.DefaultModel())
+	for _, id := range experiments.IDs(true) {
+		tables, err := run(id, config.Default(), workload.DefaultModel())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if len(tables) == 0 {
-			t.Fatalf("%s produced no tables", extra)
+			t.Fatalf("%s produced no tables", id)
 		}
 	}
 }
@@ -130,7 +137,7 @@ func TestRunAllQTraceInspector(t *testing.T) {
 		inspector:  insp,
 	}
 	var out strings.Builder
-	if err := runAll(&out, []string{"taillatency"}, config.Default(), workload.DefaultModel(), o); err != nil {
+	if _, err := runAll(&out, []string{"taillatency"}, config.Default(), workload.DefaultModel(), o); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(out.String(), "Tail latency") {
@@ -187,7 +194,7 @@ func TestWriteQTraceJSONL(t *testing.T) {
 	path := t.TempDir() + "/q.jsonl"
 	o := runAllOptions{qtrace: &qtrace.Options{}, qtracePath: path}
 	var out strings.Builder
-	if err := runAll(&out, []string{"fig12"}, config.Default(), workload.DefaultModel(), o); err != nil {
+	if _, err := runAll(&out, []string{"fig12"}, config.Default(), workload.DefaultModel(), o); err != nil {
 		t.Fatal(err)
 	}
 	raw, err := os.ReadFile(path)

@@ -1,10 +1,12 @@
 package experiments
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
 	"repro/internal/config"
+	"repro/internal/qtrace"
 	"repro/internal/workload"
 )
 
@@ -112,6 +114,40 @@ func TestClusterSweepTableRenders(t *testing.T) {
 	for _, want := range []string{"Nodes", "p2c", "hash", "p99 ms", "peak-q imbal"} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("table missing %q:\n%s", want, out)
+		}
+	}
+}
+
+// TestClusterParallelStress runs a 64-node, 64-shard cluster with two
+// domain workers on a multi-core host, where the domains' goroutines truly
+// overlap: GAM stream buffers are registered lazily mid-round in the
+// registry every domain shares, so an unserialised Register let two
+// domains write its map at once and killed the process. Each seed's
+// summary must also equal the serial run's.
+func TestClusterParallelStress(t *testing.T) {
+	if runtime.NumCPU() < 2 {
+		t.Skipf("needs 2 CPUs for domain workers to overlap, host has %d", runtime.NumCPU())
+	}
+	const queries, qps = 256, 100
+	summary := func(pj int, seed int64) string {
+		ccfg := config.DefaultCluster()
+		ccfg.Nodes, ccfg.Shards, ccfg.ShardMap = 64, 64, nil
+		ccfg.ParallelDomains = pj
+		arr := ArrivalSpec{Process: ArrivalPoisson, Seed: seed}
+		_, tb, err := ClusterRun(workload.DefaultModel(), ccfg, queries, qps, arr, qtrace.Options{}, nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var sb strings.Builder
+		if err := tb.Render(&sb); err != nil {
+			t.Fatal(err)
+		}
+		return sb.String()
+	}
+	for seed := int64(1); seed <= 4; seed++ {
+		serial, parallel := summary(1, seed), summary(2, seed)
+		if parallel != serial {
+			t.Fatalf("seed %d: -pj 2 summary diverged from -pj 1:\n%s\nwant:\n%s", seed, parallel, serial)
 		}
 	}
 }

@@ -212,28 +212,22 @@ func TestFig13Headline(t *testing.T) {
 	}
 }
 
+// TestTablesRender renders the four static tables through the registry.
 func TestTablesRender(t *testing.T) {
-	m := workload.DefaultModel()
 	var sb strings.Builder
-	for _, tb := range []interface {
-		Render(w interface {
-			Write(p []byte) (int, error)
-		}) error
-	}{} {
-		_ = tb
-	}
-	tables := []*struct {
-		name string
-		fn   func() error
-	}{
-		{"TableI", func() error { return TableI(m).Render(&sb) }},
-		{"TableII", func() error { return TableII(config.Default()).Render(&sb) }},
-		{"TableIII", func() error { return TableIII().Render(&sb) }},
-		{"TableIV", func() error { return TableIV(energy.DefaultCosts()).Render(&sb) }},
-	}
-	for _, tb := range tables {
-		if err := tb.fn(); err != nil {
-			t.Errorf("%s render: %v", tb.name, err)
+	for _, id := range []string{"table1", "table2", "table3", "table4"} {
+		e, ok := Lookup(id)
+		if !ok {
+			t.Fatalf("%s not registered", id)
+		}
+		tables, err := e.Run(config.Default(), workload.DefaultModel())
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tb := range tables {
+			if err := tb.Render(&sb); err != nil {
+				t.Errorf("%s render: %v", id, err)
+			}
 		}
 	}
 	out := sb.String()

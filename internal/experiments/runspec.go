@@ -223,7 +223,6 @@ func (s RunSpec) name() string {
 // runOptions collects the execution knobs shared by every experiment
 // entry point.
 type runOptions struct {
-	ctx      context.Context
 	workers  int
 	pool     *runner.Pool
 	progress func(done, total int, name string)
@@ -241,8 +240,8 @@ type runOptions struct {
 }
 
 // Option adjusts how an experiment executes its runs (not what it
-// simulates): worker count, shared concurrency pool, cancellation
-// context, progress reporting.
+// simulates): worker count, shared concurrency pool, progress reporting,
+// observability.
 type Option func(*runOptions)
 
 // WithWorkers bounds the experiment's private worker pool (<= 0 means
@@ -253,9 +252,6 @@ func WithWorkers(n int) Option { return func(o *runOptions) { o.workers = n } }
 // shared with other experiments — how `reachsim -exp all -j N` bounds the
 // whole evaluation at N in-flight simulations.
 func WithPool(p *runner.Pool) Option { return func(o *runOptions) { o.pool = p } }
-
-// WithContext attaches a cancellation context to the runs.
-func WithContext(ctx context.Context) Option { return func(o *runOptions) { o.ctx = ctx } }
 
 // WithProgress reports each completed run. The callback is serialised.
 func WithProgress(fn func(done, total int, name string)) Option {
@@ -302,7 +298,7 @@ func WithClusterParallel(n int) Option {
 }
 
 func buildOptions(opts []Option) runOptions {
-	o := runOptions{ctx: context.Background(), clusterPJ: -1}
+	o := runOptions{clusterPJ: -1}
 	for _, fn := range opts {
 		fn(&o)
 	}
@@ -347,7 +343,7 @@ func RunSpecs(specs []RunSpec, opts ...Option) ([]*RunResult, error) {
 		}
 		specs = instrumented
 	}
-	res, err := runner.Map(o.ctx, o.runnerOptions(func(i int) string { return specs[i].name() }), specs,
+	res, err := runner.Map(context.Background(), o.runnerOptions(func(i int) string { return specs[i].name() }), specs,
 		func(_ context.Context, _ int, s RunSpec) (*RunResult, error) { return s.Run() })
 	if err == nil && o.observe != nil {
 		for i, r := range res {
@@ -370,6 +366,6 @@ func RunSpecs(specs []RunSpec, opts ...Option) ([]*RunResult, error) {
 // experiment options — for the functional-layer experiments (recall,
 // motivation, buffer ablation) whose unit of work is not a RunSpec.
 func mapRuns[S, R any](o runOptions, items []S, name func(i int) string, fn func(item S) (R, error)) ([]R, error) {
-	return runner.Map(o.ctx, o.runnerOptions(name), items,
+	return runner.Map(context.Background(), o.runnerOptions(name), items,
 		func(_ context.Context, _ int, item S) (R, error) { return fn(item) })
 }

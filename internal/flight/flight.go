@@ -53,7 +53,8 @@ const (
 // documented defaults.
 type Config struct {
 	// Window is the retention horizon: rings keep data from the trailing
-	// Window of simulated time (<= 0 means DefaultWindow).
+	// Window of simulated time (<= 0 means DefaultWindow). The detectors'
+	// trailing windows and the barrier-ring spacing derive from it.
 	Window sim.Time
 	// Detect arms the online detectors; without it the recorder only
 	// retains (an end-of-run bundle can still be cut from the live ring).
@@ -61,41 +62,29 @@ type Config struct {
 	// Objective is the latency SLO the burn detector breaches against
 	// (<= 0 means DefaultObjective).
 	Objective sim.Time
-
-	// ShortWindow and LongWindow are the burn detector's two trailing
-	// windows (<= 0 means Window/8 and Window/2). Requiring both windows
-	// to burn at once is the standard error-budget construction: the long
-	// window proves the breach is sustained, the short window proves it is
-	// still happening.
-	ShortWindow, LongWindow sim.Time
-	// BurnThreshold is the breach fraction both windows must reach
-	// (<= 0 means 0.5).
-	BurnThreshold float64
-	// MinCompletions gates the burn detector until the long window holds
-	// this many completions (<= 0 means 8), so a few slow queries at the
-	// start of a run cannot trigger it. The long window carries the
-	// statistical mass; the short window only has to agree in fraction.
-	MinCompletions int
-
-	// QueueRatio is the queue-divergence trigger: max/median per-node
-	// outstanding requests (<= 0 means 4). QueueFloor is the minimum max
-	// depth before the ratio is considered (<= 0 means 8) — an idle
-	// cluster's 1/0 split is not a hot shard.
-	QueueRatio float64
-	QueueFloor int
-
-	// CacheDrop is the hit-rate collapse trigger: the short-window hit
-	// rate falling this far below the long-window rate (<= 0 means 0.25),
-	// evaluated only once the short window saw CacheMinLookups lookups
-	// (<= 0 means 32). Inert when no cache provider is attached.
-	CacheDrop       float64
-	CacheMinLookups uint64
-
-	// BarrierEvery throttles barrier-ring samples to at most one per this
-	// much frontier advance (<= 0 means Window/64), bounding the ring at
-	// ~64 entries regardless of how fine the lookahead rounds are.
-	BarrierEvery sim.Time
 }
+
+// Detector thresholds.
+const (
+	// burnThreshold is the breach fraction both burn windows must reach.
+	burnThreshold float64 = 0.5
+	// minCompletions gates the burn detector until the long window holds
+	// this many completions, so a few slow queries at the start of a run
+	// cannot trigger it. The long window carries the statistical mass; the
+	// short window only has to agree in fraction.
+	minCompletions int = 8
+	// queueRatio is the queue-divergence trigger: max/median per-node
+	// outstanding requests. queueFloor is the minimum max depth before the
+	// ratio is considered — an idle cluster's 1/0 split is not a hot shard.
+	queueRatio float64 = 4
+	queueFloor int     = 8
+	// cacheDrop is the hit-rate collapse trigger: the short-window hit rate
+	// falling this far below the long-window rate, evaluated only once the
+	// short window saw cacheMinLookups lookups. Inert when no cache
+	// provider is attached.
+	cacheDrop       float64 = 0.25
+	cacheMinLookups uint64  = 32
+)
 
 // withDefaults resolves every zero field.
 func (c Config) withDefaults() Config {
@@ -105,35 +94,20 @@ func (c Config) withDefaults() Config {
 	if c.Objective <= 0 {
 		c.Objective = DefaultObjective
 	}
-	if c.ShortWindow <= 0 {
-		c.ShortWindow = c.Window / 8
-	}
-	if c.LongWindow <= 0 {
-		c.LongWindow = c.Window / 2
-	}
-	if c.BurnThreshold <= 0 {
-		c.BurnThreshold = 0.5
-	}
-	if c.MinCompletions <= 0 {
-		c.MinCompletions = 8
-	}
-	if c.QueueRatio <= 0 {
-		c.QueueRatio = 4
-	}
-	if c.QueueFloor <= 0 {
-		c.QueueFloor = 8
-	}
-	if c.CacheDrop <= 0 {
-		c.CacheDrop = 0.25
-	}
-	if c.CacheMinLookups <= 0 {
-		c.CacheMinLookups = 32
-	}
-	if c.BarrierEvery <= 0 {
-		c.BarrierEvery = c.Window / 64
-	}
 	return c
 }
+
+// shortWindow and longWindow are the burn detector's two trailing windows.
+// Requiring both to burn at once is the standard error-budget
+// construction: the long window proves the breach is sustained, the short
+// window proves it is still happening.
+func (c Config) shortWindow() sim.Time { return c.Window / 8 }
+func (c Config) longWindow() sim.Time  { return c.Window / 2 }
+
+// barrierEvery throttles barrier-ring samples to at most one per this much
+// frontier advance, bounding the ring at ~64 entries regardless of how
+// fine the lookahead rounds are.
+func (c Config) barrierEvery() sim.Time { return c.Window / 64 }
 
 // ConfigView is the resolved configuration as it appears in a verdict.
 type ConfigView struct {
@@ -155,14 +129,14 @@ func (c Config) view() ConfigView {
 		WindowMS:        c.Window.Milliseconds(),
 		Detect:          c.Detect,
 		ObjectiveMS:     c.Objective.Milliseconds(),
-		ShortWindowMS:   c.ShortWindow.Milliseconds(),
-		LongWindowMS:    c.LongWindow.Milliseconds(),
-		BurnThreshold:   c.BurnThreshold,
-		MinCompletions:  c.MinCompletions,
-		QueueRatio:      c.QueueRatio,
-		QueueFloor:      c.QueueFloor,
-		CacheDrop:       c.CacheDrop,
-		CacheMinLookups: c.CacheMinLookups,
+		ShortWindowMS:   c.shortWindow().Milliseconds(),
+		LongWindowMS:    c.longWindow().Milliseconds(),
+		BurnThreshold:   burnThreshold,
+		MinCompletions:  minCompletions,
+		QueueRatio:      queueRatio,
+		QueueFloor:      queueFloor,
+		CacheDrop:       cacheDrop,
+		CacheMinLookups: cacheMinLookups,
 	}
 }
 
@@ -296,9 +270,6 @@ func New(cfg Config) *Recorder {
 	}
 }
 
-// Config reports the resolved configuration.
-func (r *Recorder) Config() Config { return r.cfg }
-
 // AttachLog binds the recorder's retainer to the query log whose
 // completion stream it observes.
 func (r *Recorder) AttachLog(l *qtrace.Log) { r.ret.Attach(l) }
@@ -378,10 +349,10 @@ func (r *Recorder) observe(at, latency sim.Time, cur obsEntry) ObsPoint {
 	}
 
 	// Burn fractions: completions within the trailing windows, current
-	// included. The ring spans Window ≥ LongWindow, so a backward scan
+	// included. The ring spans Window ≥ the long window, so a backward scan
 	// suffices; ring population is bounded by the window, keeping the scan
 	// cheap and worker-count independent.
-	shortCut, longCut := at-r.cfg.ShortWindow, at-r.cfg.LongWindow
+	shortCut, longCut := at-r.cfg.shortWindow(), at-r.cfg.longWindow()
 	shortN, shortB, longN, longB := 1, 0, 1, 0
 	if cur.breached {
 		shortB, longB = 1, 1
@@ -459,28 +430,28 @@ func rate(lookups, hits uint64) float64 {
 // first that fires (empty name when none).
 func (r *Recorder) evaluate(pt ObsPoint) (name, reason string) {
 	c := r.cfg
-	if pt.LongN >= c.MinCompletions && pt.BurnShort >= c.BurnThreshold && pt.BurnLong >= c.BurnThreshold {
+	if pt.LongN >= minCompletions && pt.BurnShort >= burnThreshold && pt.BurnLong >= burnThreshold {
 		return DetectorSLOBurn, fmt.Sprintf(
 			"breach rate %.0f%% over %.1f ms and %.0f%% over %.1f ms, both >= %.0f%% of completions against the %.0f ms objective",
-			100*pt.BurnShort, c.ShortWindow.Milliseconds(),
-			100*pt.BurnLong, c.LongWindow.Milliseconds(),
-			100*c.BurnThreshold, c.Objective.Milliseconds())
+			100*pt.BurnShort, c.shortWindow().Milliseconds(),
+			100*pt.BurnLong, c.longWindow().Milliseconds(),
+			100*burnThreshold, c.Objective.Milliseconds())
 	}
-	if pt.QueueMax >= c.QueueFloor && pt.QueueRatio >= c.QueueRatio {
+	if pt.QueueMax >= queueFloor && pt.QueueRatio >= queueRatio {
 		return DetectorQueueSkew, fmt.Sprintf(
 			"hot shard: max outstanding %d vs median %.1f (ratio %.1f >= %.1f)",
-			pt.QueueMax, pt.QueueMedian, pt.QueueRatio, c.QueueRatio)
+			pt.QueueMax, pt.QueueMedian, pt.QueueRatio, queueRatio)
 	}
-	if pt.HitLong >= 0 && pt.HitShort >= 0 && pt.HitLong-pt.HitShort >= c.CacheDrop {
+	if pt.HitLong >= 0 && pt.HitShort >= 0 && pt.HitLong-pt.HitShort >= cacheDrop {
 		// Gate on short-window traffic so a lull does not read as collapse.
 		// The caller appended the current entry last, so obs is non-empty.
 		cur := r.obs[len(r.obs)-1]
-		base := r.baseline(cur.at - c.ShortWindow)
-		if cur.lookups-base.lookups >= c.CacheMinLookups {
+		base := r.baseline(cur.at - c.shortWindow())
+		if cur.lookups-base.lookups >= cacheMinLookups {
 			return DetectorCacheDrop, fmt.Sprintf(
 				"cache hit rate fell from %.0f%% (%.1f ms window) to %.0f%% (%.1f ms window), drop >= %.0f points",
-				100*pt.HitLong, c.LongWindow.Milliseconds(),
-				100*pt.HitShort, c.ShortWindow.Milliseconds(), 100*c.CacheDrop)
+				100*pt.HitLong, c.longWindow().Milliseconds(),
+				100*pt.HitShort, c.shortWindow().Milliseconds(), 100*cacheDrop)
 		}
 	}
 	return "", ""
@@ -525,7 +496,7 @@ func (r *Recorder) buildVerdict(name, reason string, at sim.Time, pt *ObsPoint) 
 }
 
 // OnBarrier implements sim.BarrierObserver: retain one barrier snapshot
-// whenever the frontier advanced BarrierEvery past the previous sample
+// whenever the frontier advanced Window/64 past the previous sample
 // (always on the terminating barrier), unless frozen.
 func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 	r.mu.Lock()
@@ -541,7 +512,7 @@ func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 			if now == last {
 				return
 			}
-		} else if now < last+r.cfg.BarrierEvery {
+		} else if now < last+r.cfg.barrierEvery() {
 			return
 		}
 	}

@@ -26,20 +26,21 @@ func feed(r *Recorder, n int, lat func(i int) sim.Time) *qtrace.Log {
 // TestConfigDefaults: zero fields resolve to the documented defaults and
 // the windows derive from the configured retention horizon.
 func TestConfigDefaults(t *testing.T) {
-	c := New(Config{}).Config()
+	c := New(Config{}).cfg
 	if c.Window != DefaultWindow || c.Objective != DefaultObjective {
 		t.Fatalf("window/objective = %v/%v, want defaults", c.Window, c.Objective)
 	}
-	if c.ShortWindow != c.Window/8 || c.LongWindow != c.Window/2 || c.BarrierEvery != c.Window/64 {
-		t.Fatalf("derived windows %v/%v/%v inconsistent with %v", c.ShortWindow, c.LongWindow, c.BarrierEvery, c.Window)
+	if c.shortWindow() != c.Window/8 || c.longWindow() != c.Window/2 || c.barrierEvery() != c.Window/64 {
+		t.Fatalf("derived windows %v/%v/%v inconsistent with %v", c.shortWindow(), c.longWindow(), c.barrierEvery(), c.Window)
 	}
-	if c.BurnThreshold != 0.5 || c.MinCompletions != 8 || c.QueueRatio != 4 ||
-		c.QueueFloor != 8 || c.CacheDrop != 0.25 || c.CacheMinLookups != 32 {
-		t.Fatalf("detector defaults off: %+v", c)
+	v := c.view()
+	if v.ShortWindowMS != 125 || v.LongWindowMS != 500 || v.BurnThreshold != 0.5 || v.MinCompletions != 8 ||
+		v.QueueRatio != 4 || v.QueueFloor != 8 || v.CacheDrop != 0.25 || v.CacheMinLookups != 32 {
+		t.Fatalf("detector defaults off: %+v", v)
 	}
-	c2 := New(Config{Window: 100 * sim.Millisecond}).Config()
-	if c2.ShortWindow != ms(100)/8 || c2.LongWindow != ms(50) {
-		t.Fatalf("custom window did not propagate: %+v", c2)
+	c2 := New(Config{Window: 100 * sim.Millisecond}).cfg
+	if c2.shortWindow() != ms(100)/8 || c2.longWindow() != ms(50) {
+		t.Fatalf("custom window did not propagate: %+v", c2.view())
 	}
 }
 
@@ -61,9 +62,10 @@ func TestBurnDetectorFreezesOnce(t *testing.T) {
 	if n := st.Detections[DetectorSLOBurn]; n != 1 {
 		t.Fatalf("detections = %v, want exactly one", st.Detections)
 	}
-	// LongWindow = 50 ms: the breach fraction over it crosses 50% once
-	// ~25 breached completions accumulated, i.e. well before the feed ends —
-	// the frozen counters must show fewer completions than were offered.
+	// The long window is Window/2 = 50 ms: the breach fraction over it
+	// crosses 50% once ~25 breached completions accumulated, i.e. well
+	// before the feed ends — the frozen counters must show fewer
+	// completions than were offered.
 	if st.Completions >= 80 {
 		t.Fatalf("freeze did not stop the counters: %d completions", st.Completions)
 	}
@@ -215,13 +217,13 @@ func TestDisarmedRecorderOnlyRetains(t *testing.T) {
 	}
 }
 
-// TestBarrierRing: barrier samples honour the BarrierEvery throttle, the
+// TestBarrierRing: barrier samples honour the Window/64 throttle, the
 // final barrier is always captured, samples slide out of the window, and
 // a freeze stops sampling.
 func TestBarrierRing(t *testing.T) {
 	// A real two-domain run: a CrossLink bounds the lookahead to 100 µs so
 	// barrier rounds advance in small steps, and self-rescheduling ticks
-	// keep both domains busy for 30 ms.
+	// keep both domains busy for 100 ms.
 	runEngine := func(r *Recorder) {
 		m := sim.NewMultiEngine(2)
 		sim.NewCrossLink(m.Domain(0), "link", 1e9, 100*sim.Microsecond)
@@ -229,7 +231,7 @@ func TestBarrierRing(t *testing.T) {
 			d := m.Domain(i)
 			var tick func()
 			tick = func() {
-				if d.Now() < ms(30) {
+				if d.Now() < ms(100) {
 					d.Schedule(100*sim.Microsecond, tick)
 				}
 			}
@@ -238,23 +240,24 @@ func TestBarrierRing(t *testing.T) {
 		m.SetBarrierObserver(r)
 		m.Run()
 	}
-	r := New(Config{Window: 10 * sim.Millisecond, BarrierEvery: ms(1)})
+	// A 64 ms window spaces samples 1 ms apart.
+	r := New(Config{Window: 64 * sim.Millisecond})
 	runEngine(r)
 	bars := r.BarrierWindow()
 	if len(bars) == 0 {
 		t.Fatal("no barrier samples retained")
 	}
-	// 10 ms window at 1 ms spacing → at most ~12 samples survive
+	// 64 ms window at 1 ms spacing → at most ~66 samples survive
 	// (window edge plus the terminating barrier).
-	if len(bars) > 13 {
-		t.Fatalf("throttle failed: %d samples in a 10-sample window", len(bars))
+	if len(bars) > 67 {
+		t.Fatalf("throttle failed: %d samples in a 64-sample window", len(bars))
 	}
-	// The run ends at the 30 ms frontier; the ring's newest sample must
+	// The run ends at the 100 ms frontier; the ring's newest sample must
 	// sit there — either the terminating barrier or the same-instant round
 	// sample it deduplicated against.
 	last := bars[len(bars)-1]
-	if last.at != ms(30) {
-		t.Fatalf("newest sample at %v, run ended at 30 ms: %+v", last.at, last)
+	if last.at != ms(100) {
+		t.Fatalf("newest sample at %v, run ended at 100 ms: %+v", last.at, last)
 	}
 	for i := 1; i < len(bars)-1; i++ {
 		if gap := bars[i].at - bars[i-1].at; gap < ms(1) {
@@ -265,12 +268,12 @@ func TestBarrierRing(t *testing.T) {
 		t.Fatalf("sample missing domain stats: %+v", last)
 	}
 	// Ring slid: nothing older than the window before the last sample.
-	if first := bars[0]; last.at-first.at > 10*sim.Millisecond {
-		t.Fatalf("ring kept %v of history, window is 10 ms", last.at-first.at)
+	if first := bars[0]; last.at-first.at > 64*sim.Millisecond {
+		t.Fatalf("ring kept %v of history, window is 64 ms", last.at-first.at)
 	}
 
 	// A frozen recorder never samples.
-	frozen := New(Config{Window: 10 * sim.Millisecond, BarrierEvery: ms(1)})
+	frozen := New(Config{Window: 64 * sim.Millisecond})
 	frozen.mu.Lock()
 	frozen.frozen = true
 	frozen.mu.Unlock()

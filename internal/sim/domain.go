@@ -50,13 +50,11 @@ type Domain = Engine
 // xevent is one cross-domain event waiting in a destination mailbox.
 // src/xseq make the barrier merge order total and worker-independent.
 type xevent struct {
-	at        Time
-	src       int32
-	xseq      uint64
-	h         Handler
-	fn        func()
-	arg       uint64
-	cancelled bool
+	at   Time
+	src  int32
+	xseq uint64
+	h    Handler
+	arg  uint64
 }
 
 // inbox is a domain's bounded inbound mailbox. Senders append under the
@@ -66,49 +64,7 @@ type xevent struct {
 // one lookahead window.
 type inbox struct {
 	mu      sync.Mutex
-	epoch   uint64 // incremented at every drain; stale XHandles see it
 	pending []xevent
-}
-
-// XHandle identifies an event exported to another domain's mailbox, for
-// cancellation from the exporting domain. An exported event can only be
-// cancelled until the next barrier: once the coordinator drains the
-// mailbox the event is committed to the destination calendar and Cancel
-// becomes a no-op (the destination domain may already be executing it in
-// a parallel round — a cross-domain cancel race the conservative protocol
-// deliberately refuses to arbitrate). The zero value is inert.
-type XHandle struct {
-	dst   *Engine
-	epoch uint64
-	idx   int
-}
-
-// Cancel prevents the exported event from firing if it is still in the
-// destination mailbox; after the barrier that drained it, Cancel is a
-// no-op. Safe to call from the exporting domain's goroutine.
-func (h XHandle) Cancel() {
-	d := h.dst
-	if d == nil {
-		return
-	}
-	d.inbox.mu.Lock()
-	if h.epoch == d.inbox.epoch && h.idx < len(d.inbox.pending) {
-		d.inbox.pending[h.idx].cancelled = true
-	}
-	d.inbox.mu.Unlock()
-}
-
-// Exported reports whether the event is still in the destination mailbox
-// (not yet drained, not cancelled).
-func (h XHandle) Exported() bool {
-	d := h.dst
-	if d == nil {
-		return false
-	}
-	d.inbox.mu.Lock()
-	defer d.inbox.mu.Unlock()
-	return h.epoch == d.inbox.epoch && h.idx < len(d.inbox.pending) &&
-		!d.inbox.pending[h.idx].cancelled
 }
 
 // DomainProgress is one domain's live position, published at barriers.
@@ -342,12 +298,9 @@ func (m *MultiEngine) drain(depths []int) {
 		d.inbox.mu.Lock()
 		depths[i] = len(d.inbox.pending)
 		for _, ev := range d.inbox.pending {
-			if !ev.cancelled {
-				m.merge = append(m.merge, mergeEntry{dst: d, ev: ev})
-			}
+			m.merge = append(m.merge, mergeEntry{dst: d, ev: ev})
 		}
 		d.inbox.pending = d.inbox.pending[:0]
-		d.inbox.epoch++
 		d.inbox.mu.Unlock()
 	}
 	sort.Slice(m.merge, func(i, j int) bool {
@@ -365,7 +318,7 @@ func (m *MultiEngine) drain(depths []int) {
 			panic(fmt.Sprintf("sim: cross-domain event at %v delivered into domain %d already at %v (lookahead violated)",
 				e.ev.at, e.dst.id, e.dst.now))
 		}
-		e.dst.push(e.ev.at, e.ev.h, e.ev.arg, e.ev.fn)
+		e.dst.push(e.ev.at, e.ev.h, e.ev.arg, nil)
 	}
 }
 
@@ -494,13 +447,12 @@ func (m *MultiEngine) workRound() {
 
 // ExportAt schedules h.Fire(dst, arg) at absolute time t in another
 // domain of the same MultiEngine, through dst's mailbox. The event is
-// committed at the next barrier; until then the returned XHandle can
-// cancel it. t must respect the conservative lookahead — at least one
+// committed at the next barrier. t must respect the conservative lookahead — at least one
 // lookahead past the exporting domain's clock — or the destination could
 // already have advanced past it. CrossLink.Send is the usual way to get
 // the timing right; ExportAt is the low-level primitive for latency-only
 // control messages.
-func (e *Engine) ExportAt(dst *Engine, t Time, h Handler, arg uint64) XHandle {
+func (e *Engine) ExportAt(dst *Engine, t Time, h Handler, arg uint64) {
 	if e.multi == nil || dst == nil || dst.multi != e.multi {
 		panic("sim: ExportAt needs source and destination domains of one MultiEngine")
 	}
@@ -516,13 +468,10 @@ func (e *Engine) ExportAt(dst *Engine, t Time, h Handler, arg uint64) XHandle {
 	}
 	e.xseq++
 	dst.inbox.mu.Lock()
-	idx := len(dst.inbox.pending)
-	epoch := dst.inbox.epoch
 	dst.inbox.pending = append(dst.inbox.pending, xevent{
 		at: t, src: e.id, xseq: e.xseq, h: h, arg: arg,
 	})
 	dst.inbox.mu.Unlock()
-	return XHandle{dst: dst, epoch: epoch, idx: idx}
 }
 
 // CrossLink is a Link whose deliveries land in other event domains: the
@@ -556,9 +505,7 @@ func (x *CrossLink) Link() *Link { return x.l }
 // h.Fire(dst, arg) in the destination domain when the last byte lands —
 // egress occupancy plus the link latency. Zero-byte sends model
 // control-plane messages: pure latency, no capacity occupancy, no stats.
-// Returns the arrival time and a handle valid until the next barrier.
-func (x *CrossLink) Send(dst *Engine, n int64, h Handler, arg uint64) (Time, XHandle) {
+func (x *CrossLink) Send(dst *Engine, n int64, h Handler, arg uint64) {
 	end := x.l.reserve(x.src.now, x.l.duration(n), n)
-	at := end + x.l.latency
-	return at, x.src.ExportAt(dst, at, h, arg)
+	x.src.ExportAt(dst, end+x.l.latency, h, arg)
 }

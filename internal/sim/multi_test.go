@@ -135,59 +135,6 @@ func TestEmptyDomainNoDeadlock(t *testing.T) {
 	}
 }
 
-// exporter exports a single event and stashes the handle for the test.
-type exporter struct {
-	dst    *Engine
-	at     Time
-	target Handler
-	handle *XHandle
-}
-
-func (e *exporter) Fire(eng *Engine, arg uint64) {
-	*e.handle = eng.ExportAt(e.dst, e.at, e.target, arg)
-}
-
-// canceller cancels a previously captured XHandle when it fires.
-type canceller struct{ handle *XHandle }
-
-func (c *canceller) Fire(eng *Engine, arg uint64) { c.handle.Cancel() }
-
-// TestExportedEventCancel covers both sides of the barrier: cancelling an
-// exported event while it still sits in the destination mailbox suppresses
-// it; cancelling after the barrier drained it is a harmless no-op.
-func TestExportedEventCancel(t *testing.T) {
-	m := NewMultiEngine(2)
-	a, b := m.Domain(0), m.Domain(1)
-	NewCrossLink(a, "x.ab", 1e9, 10) // establishes lookahead 10
-	rec := &recorder{}
-
-	var h1, h2 XHandle
-	// Same round in a: export then cancel before the barrier → suppressed.
-	a.AtCall(0, &exporter{dst: b, at: 50, target: rec, handle: &h1}, 1)
-	a.AtCall(1, &canceller{handle: &h1}, 0)
-	// Export at t=2, let the barrier commit it, then cancel far too late
-	// (t=90 in a later round) → no-op, event fires anyway at t=60.
-	a.AtCall(2, &exporter{dst: b, at: 60, target: rec, handle: &h2}, 2)
-	a.AtCall(90, &canceller{handle: &h2}, 0)
-	m.Run()
-
-	want := []string{"d1 t60 a2"}
-	if !reflect.DeepEqual(rec.log, want) {
-		t.Fatalf("log = %v, want %v", rec.log, want)
-	}
-	if h1.Exported() || h2.Exported() {
-		t.Fatal("handles must be stale after the run")
-	}
-}
-
-func TestExportedHandleStates(t *testing.T) {
-	var zero XHandle
-	zero.Cancel() // zero value must be inert
-	if zero.Exported() {
-		t.Fatal("zero XHandle reports exported")
-	}
-}
-
 // chainRelay bounces a token between two domains a fixed number of hops,
 // recording each arrival — exercises repeated mailbox handoffs and many
 // barrier rounds.

@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"sort"
+	"sync"
 )
 
 // This file defines the shared-resource layer every contended hardware
@@ -113,7 +114,15 @@ type Resource interface {
 // regardless of construction order. The sorted order is cached between
 // registrations: a periodic metrics sampler can walk the registry every
 // tick without re-sorting or allocating.
+//
+// Register is safe for concurrent use: the domains of a MultiEngine share
+// one registry, and a model may register a resource lazily mid-round (the
+// GAM creates stream buffers on first use) while another domain does the
+// same. Names are node-prefixed, so the sorted walk order does not depend
+// on which domain registered first. Lookups and walks are not locked; they
+// run while every domain is quiescent (at barriers or after the run).
 type StatsRegistry struct {
+	mu      sync.Mutex
 	byName  map[string]Resource
 	ordered []namedResource // sorted by name when `sorted` is true
 	sorted  bool
@@ -158,6 +167,8 @@ func (r *StatsRegistry) Register(name string, res Resource) string {
 	if name == "" {
 		name = "anon"
 	}
+	r.mu.Lock()
+	defer r.mu.Unlock()
 	name = r.prefix + name
 	final := name
 	for n := 2; ; n++ {
