@@ -76,7 +76,7 @@ func run(n, clusters, batch, probes, cands, topk int, seed int64) error {
 	if err != nil {
 		return err
 	}
-	recall, err := index.RecallAtK(dbQueries, params)
+	recall, err := cbir.Recall(index, dbQueries, params, cbir.GroundTruth(ds.Vectors, dbQueries, topk))
 	if err != nil {
 		return err
 	}

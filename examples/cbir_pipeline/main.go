@@ -133,7 +133,7 @@ func main() {
 
 		// The functional layer answers the same batch with real math.
 		queries := ds.Queries(m.BatchSize, 0.02, int64(100+b))
-		recall, err := index.RecallAtK(queries, params)
+		recall, err := cbir.Recall(index, queries, params, cbir.GroundTruth(ds.Vectors, queries, params.K))
 		if err != nil {
 			log.Fatal(err)
 		}

@@ -54,16 +54,31 @@ func BenchmarkBruteForce(b *testing.B) {
 	}
 }
 
-// BenchmarkKMeans measures the offline clustering step.
+// BenchmarkKMeans measures the offline clustering step: a small case, the
+// recallsweep experiment's IVF build (2^15 × 64-D, k=256, 15 iterations)
+// and the shape of one motivation PQ subspace (8192 × 4-D, k=256, 12
+// iterations).
 func BenchmarkKMeans(b *testing.B) {
-	ds := workload.Synthetic(workload.SyntheticParams{
-		N: 4096, D: 32, Clusters: 16, Spread: 0.08, Seed: 7,
-	})
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := KMeans(ds.Vectors, 16, 10, 8); err != nil {
-			b.Fatal(err)
-		}
+	cases := []struct {
+		name     string
+		data     workload.SyntheticParams
+		k, iters int
+		seed     int64
+	}{
+		{"small", workload.SyntheticParams{N: 4096, D: 32, Clusters: 16, Spread: 0.08, Seed: 7}, 16, 10, 8},
+		{"recallsweep", workload.SyntheticParams{N: 1 << 15, D: 64, Clusters: 64, Spread: 0.1, Seed: 4242}, 256, 15, 17},
+		{"pq-train", workload.SyntheticParams{N: 8192, D: 4, Clusters: 32, Spread: 0.12, Seed: 2020}, 256, 12, 12},
+	}
+	for _, tc := range cases {
+		b.Run(tc.name, func(b *testing.B) {
+			data := workload.Synthetic(tc.data).Vectors
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := KMeans(data, tc.k, tc.iters, tc.seed); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

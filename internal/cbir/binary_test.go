@@ -98,13 +98,14 @@ func TestBinaryIndexRecallBelowExact(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactRecall, _ := exact.RecallAtK(queries, params)
+	truth := GroundTruth(ds.Vectors, queries, params.K)
+	exactRecall, _ := Recall(exact, queries, params, truth)
 
-	bin, err := BuildBinaryIndex(ds.Vectors, 24, 20, 5, 64)
+	bin, err := NewBinaryIndex(exact, 64, 105)
 	if err != nil {
 		t.Fatal(err)
 	}
-	binRecall, err := bin.RecallAtK(queries, params)
+	binRecall, err := Recall(bin, queries, params, truth)
 	if err != nil {
 		t.Fatal(err)
 	}

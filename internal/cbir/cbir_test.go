@@ -193,7 +193,8 @@ func TestEndToEndRecall(t *testing.T) {
 		t.Fatal(err)
 	}
 	queries := ds.Queries(16, 0.02, 777)
-	recall, err := ix.RecallAtK(queries, SearchParams{Probes: 8, Candidates: 2048, K: 10})
+	truth := GroundTruth(ds.Vectors, queries, 10)
+	recall, err := Recall(ix, queries, SearchParams{Probes: 8, Candidates: 2048, K: 10}, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -201,7 +202,7 @@ func TestEndToEndRecall(t *testing.T) {
 		t.Errorf("recall@10 = %.3f, want >= 0.9", recall)
 	}
 	// Fewer probes must not increase recall.
-	lowRecall, _ := ix.RecallAtK(queries, SearchParams{Probes: 1, Candidates: 2048, K: 10})
+	lowRecall, _ := Recall(ix, queries, SearchParams{Probes: 1, Candidates: 2048, K: 10}, truth)
 	if lowRecall > recall+1e-9 {
 		t.Errorf("recall with 1 probe (%.3f) exceeds recall with 8 (%.3f)", lowRecall, recall)
 	}

@@ -76,7 +76,13 @@ func (ix *Index) Candidates(clusters []int, maxCandidates int) []int {
 	if maxCandidates <= 0 {
 		return nil
 	}
-	out := make([]int, 0, maxCandidates)
+	// Size for what the probed cells hold, not the budget: an uncapped
+	// budget (recallsweep's 1<<20) would allocate megabytes per query.
+	avail := 0
+	for _, c := range clusters {
+		avail += len(ix.Lists[c])
+	}
+	out := make([]int, 0, min(maxCandidates, avail))
 	offsets := make([]int, len(clusters))
 	for len(out) < maxCandidates {
 		progress := false
@@ -129,17 +135,37 @@ func (ix *Index) Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.Ne
 	return out, nil
 }
 
-// RecallAtK evaluates mean recall@K of the index against exhaustive search
-// over a batch of queries.
-func (ix *Index) RecallAtK(queries *kernels.Matrix, p SearchParams) (float64, error) {
-	found, err := ix.Search(queries, p)
+// Searcher is a batched retrieval pipeline: the exact IVF Index and its
+// compressed variants PQIndex and BinaryIndex.
+type Searcher interface {
+	Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.Neighbor, error)
+}
+
+// GroundTruth returns each query's exact K nearest neighbours by
+// exhaustive search over vectors — the reference recall is measured
+// against. Compute it once per (database, queries, K) and share it across
+// every index and parameter setting evaluated on them.
+func GroundTruth(vectors, queries *kernels.Matrix, k int) [][]kernels.Neighbor {
+	truth := make([][]kernels.Neighbor, queries.Rows)
+	for b := range truth {
+		truth[b] = kernels.BruteForceKNN(vectors, queries.Row(b), k)
+	}
+	return truth
+}
+
+// Recall runs the batch through s and returns the mean recall@K against
+// truth, which must be GroundTruth of the same queries at p.K.
+func Recall(s Searcher, queries *kernels.Matrix, p SearchParams, truth [][]kernels.Neighbor) (float64, error) {
+	if len(truth) != queries.Rows {
+		return 0, fmt.Errorf("cbir: ground truth covers %d queries, batch has %d", len(truth), queries.Rows)
+	}
+	found, err := s.Search(queries, p)
 	if err != nil {
 		return 0, err
 	}
 	var sum float64
-	for b := 0; b < queries.Rows; b++ {
-		truth := kernels.BruteForceKNN(ix.Vectors, queries.Row(b), p.K)
-		sum += kernels.RecallAtK(found[b], truth)
+	for b := range found {
+		sum += kernels.RecallAtK(found[b], truth[b])
 	}
 	return sum / float64(queries.Rows), nil
 }

@@ -7,7 +7,10 @@ package cbir
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
+	"runtime"
+	"sync"
 
 	"repro/internal/kernels"
 )
@@ -20,10 +23,18 @@ type KMeansResult struct {
 	Moved      int             // points that changed cluster in the last iteration
 }
 
-// KMeans runs Lloyd's algorithm with k-means++ style seeding (first centre
-// uniform, subsequent centres from distinct random points) for at most
-// maxIters iterations, stopping early on convergence. Deterministic for a
-// given seed.
+// KMeans runs exact Lloyd's algorithm with k-means++ style seeding (first
+// centre uniform, subsequent centres from distinct random points) for at
+// most maxIters iterations, stopping early on convergence. Deterministic
+// for a given seed, at any GOMAXPROCS.
+//
+// The assignment step is a pruned nearest-centroid search (kernels.Nearest
+// bounded by each point's distance to its previous centroid) split into
+// row chunks across GOMAXPROCS goroutines; it picks the same centroid, tie
+// for tie, as a full scalar scan. It deliberately does not use the Eq. 1
+// decomposition: ‖x‖²+‖c‖²−2⟨x,c⟩ reassociates the sum, which can flip
+// near-tied assignments and with them the index and every recall figure.
+// The update step stays serial so each centroid sums its points in order.
 func KMeans(data *kernels.Matrix, k, maxIters int, seed int64) (*KMeansResult, error) {
 	n, d := data.Rows, data.Cols
 	if k <= 0 || k > n {
@@ -49,21 +60,7 @@ func KMeans(data *kernels.Matrix, k, maxIters int, seed int64) (*KMeansResult, e
 	res := &KMeansResult{Centroids: centroids, Assign: assign}
 
 	for iter := 0; iter < maxIters; iter++ {
-		moved := 0
-		// Assignment step.
-		for i := 0; i < n; i++ {
-			row := data.Row(i)
-			best, bestD := 0, kernels.SquaredL2(row, centroids.Row(0))
-			for c := 1; c < k; c++ {
-				if dist := kernels.SquaredL2(row, centroids.Row(c)); dist < bestD {
-					best, bestD = c, dist
-				}
-			}
-			if assign[i] != best {
-				moved++
-				assign[i] = best
-			}
-		}
+		moved := assignRows(data, centroids, assign)
 		res.Iterations = iter + 1
 		res.Moved = moved
 		if moved == 0 {
@@ -99,4 +96,54 @@ func KMeans(data *kernels.Matrix, k, maxIters int, seed int64) (*KMeansResult, e
 		}
 	}
 	return res, nil
+}
+
+// minRowsPerWorker keeps the assignment step serial below two chunks of
+// this many rows, where starting goroutines would cost more than it saves.
+const minRowsPerWorker = 2048
+
+// assignRows points every row of data at its nearest centroid (lowest
+// index on ties) and returns how many rows changed cluster. Each row's
+// result is independent of the chunking and the count is an integer sum,
+// so the outcome does not depend on the worker count.
+func assignRows(data, centroids *kernels.Matrix, assign []int) int {
+	n := data.Rows
+	workers := min(runtime.GOMAXPROCS(0), n/minRowsPerWorker)
+	if workers <= 1 {
+		return assignRange(data, centroids, assign, 0, n)
+	}
+	moved := make([]int, workers)
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			moved[w] = assignRange(data, centroids, assign, w*n/workers, (w+1)*n/workers)
+		}(w)
+	}
+	wg.Wait()
+	total := 0
+	for _, m := range moved {
+		total += m
+	}
+	return total
+}
+
+// assignRange assigns rows [lo, hi), bounding each search by the row's
+// distance to its previous centroid.
+func assignRange(data, centroids *kernels.Matrix, assign []int, lo, hi int) int {
+	moved := 0
+	inf := float32(math.Inf(1))
+	for i := lo; i < hi; i++ {
+		row := data.Row(i)
+		bound := inf
+		if prev := assign[i]; prev >= 0 {
+			bound = kernels.SquaredL2(row, centroids.Row(prev))
+		}
+		if best, _ := kernels.Nearest(centroids, row, bound); best != assign[i] {
+			assign[i] = best
+			moved++
+		}
+	}
+	return moved
 }

@@ -88,14 +88,9 @@ func (pq *PQ) Encode(v []float32) []uint16 {
 		panic(fmt.Sprintf("cbir: PQ encode dim %d, want %d", len(v), pq.m*pq.subDim))
 	}
 	code := make([]uint16, pq.m)
+	inf := float32(math.Inf(1))
 	for s := 0; s < pq.m; s++ {
-		sub := v[s*pq.subDim : (s+1)*pq.subDim]
-		best, bestD := 0, float32(math.MaxFloat32)
-		for c := 0; c < pq.k; c++ {
-			if d := kernels.SquaredL2(sub, pq.books[s].Row(c)); d < bestD {
-				best, bestD = c, d
-			}
-		}
+		best, _ := kernels.Nearest(pq.books[s], v[s*pq.subDim:(s+1)*pq.subDim], inf)
 		code[s] = uint16(best)
 	}
 	return code
@@ -151,17 +146,14 @@ type PQIndex struct {
 	codes [][]uint16
 }
 
-// BuildPQIndex clusters the database and PQ-encodes every vector.
-func BuildPQIndex(vectors *kernels.Matrix, m, kmeansIters int, seed int64, p PQParams) (*PQIndex, error) {
-	ivf, err := BuildIndex(vectors, m, kmeansIters, seed)
+// NewPQIndex trains a quantizer on the database of ivf and PQ-encodes
+// every vector; the shortlist stage reuses ivf, which is only read.
+func NewPQIndex(ivf *Index, p PQParams) (*PQIndex, error) {
+	pq, err := TrainPQ(ivf.Vectors, p)
 	if err != nil {
 		return nil, err
 	}
-	pq, err := TrainPQ(vectors, p)
-	if err != nil {
-		return nil, err
-	}
-	return &PQIndex{ivf: ivf, pq: pq, codes: pq.EncodeAll(vectors)}, nil
+	return &PQIndex{ivf: ivf, pq: pq, codes: pq.EncodeAll(ivf.Vectors)}, nil
 }
 
 // PQ exposes the quantizer.
@@ -184,21 +176,6 @@ func (ix *PQIndex) Search(queries *kernels.Matrix, p SearchParams) ([][]kernels.
 		out[b] = sel.Results()
 	}
 	return out, nil
-}
-
-// RecallAtK evaluates the compressed index against exhaustive search on
-// the original vectors.
-func (ix *PQIndex) RecallAtK(queries *kernels.Matrix, p SearchParams) (float64, error) {
-	found, err := ix.Search(queries, p)
-	if err != nil {
-		return 0, err
-	}
-	var sum float64
-	for b := 0; b < queries.Rows; b++ {
-		truth := kernels.BruteForceKNN(ix.ivf.Vectors, queries.Row(b), p.K)
-		sum += kernels.RecallAtK(found[b], truth)
-	}
-	return sum / float64(queries.Rows), nil
 }
 
 // QuantizationError reports the mean squared reconstruction error over a

@@ -97,17 +97,17 @@ func TestPQIndexRecallBelowExactRerank(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	exactRecall, err := exact.RecallAtK(queries, params)
+	truth := GroundTruth(ds.Vectors, queries, params.K)
+	exactRecall, err := Recall(exact, queries, params, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
 
-	compressed, err := BuildPQIndex(ds.Vectors, 24, 20, 5,
-		PQParams{Subspaces: 4, CentroidsPerSub: 16, KMeansIters: 10, Seed: 6})
+	compressed, err := NewPQIndex(exact, PQParams{Subspaces: 4, CentroidsPerSub: 16, KMeansIters: 10, Seed: 6})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pqRecall, err := compressed.RecallAtK(queries, params)
+	pqRecall, err := Recall(compressed, queries, params, truth)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,7 +129,11 @@ func TestPQIndexRecallBelowExactRerank(t *testing.T) {
 
 func TestPQSearchReturnsSortedK(t *testing.T) {
 	ds := pqTestData(t)
-	ix, err := BuildPQIndex(ds.Vectors, 16, 15, 9, DefaultPQParamsFor(32))
+	ivf, err := BuildIndex(ds.Vectors, 16, 15, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ix, err := NewPQIndex(ivf, DefaultPQParamsFor(32))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -176,13 +176,13 @@ func (c *ClusterConfig) Validate() error {
 	if c.Quorum < 0 || c.Quorum > c.Shards {
 		return fmt.Errorf("cluster: quorum %d out of range 0..%d (0 means all shards)", c.Quorum, c.Shards)
 	}
-	if c.NetGBps <= 0 {
-		return fmt.Errorf("cluster: net_gbps must be positive, got %v", c.NetGBps)
+	if !linkGBps(c.NetGBps) {
+		return fmt.Errorf("cluster: net_gbps must be positive%s, got %v", finiteBps, c.NetGBps)
 	}
-	if c.NetLatencyUS <= 0 {
-		// Strictly positive: the wire latency is the conservative lookahead
-		// that lets the per-node event domains run in parallel.
-		return fmt.Errorf("cluster: net_latency_us must be positive, got %v", c.NetLatencyUS)
+	if !(c.NetLatencyUS >= 1e-6) {
+		// At least one picosecond tick: the wire latency is the conservative
+		// lookahead that lets the per-node event domains run in parallel.
+		return fmt.Errorf("cluster: net_latency_us must be positive (at least 1e-6, one tick), got %v", c.NetLatencyUS)
 	}
 	if c.ParallelDomains < 0 {
 		return fmt.Errorf("cluster: parallel_domains must be non-negative, got %d", c.ParallelDomains)
@@ -192,7 +192,7 @@ func (c *ClusterConfig) Validate() error {
 	default:
 		return fmt.Errorf("cluster: unknown route_policy %q (valid: hash, rr, p2c)", c.RoutePolicy)
 	}
-	if c.SkewExponent < 0 {
+	if !(c.SkewExponent >= 0) {
 		return fmt.Errorf("cluster: skew_exponent must be non-negative, got %v", c.SkewExponent)
 	}
 	if c.ContentItems < 1 {
@@ -201,13 +201,13 @@ func (c *ClusterConfig) Validate() error {
 	if c.CacheEntries < 0 {
 		return fmt.Errorf("cluster: cache_entries must be non-negative, got %d", c.CacheEntries)
 	}
-	if c.CacheEntries > 0 && c.CacheTTLMS <= 0 {
+	if c.CacheEntries > 0 && !(c.CacheTTLMS > 0) {
 		return fmt.Errorf("cluster: cache_ttl_ms must be positive when the cache is enabled, got %v", c.CacheTTLMS)
 	}
-	if c.CacheHitUS < 0 {
+	if !(c.CacheHitUS >= 0) {
 		return fmt.Errorf("cluster: cache_hit_us must be non-negative, got %v", c.CacheHitUS)
 	}
-	if c.CoalesceUS < 0 {
+	if !(c.CoalesceUS >= 0) {
 		return fmt.Errorf("cluster: coalesce_us must be non-negative, got %v", c.CoalesceUS)
 	}
 	if err := c.Node.Validate(); err != nil {

@@ -8,6 +8,7 @@ package config
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -222,28 +223,32 @@ func (c *SystemConfig) Validate() error {
 		{c.Memory.Controllers > 0, "memory.controllers must be positive"},
 		{c.Memory.HostDIMMs > 0, "memory.host_dimms must be positive"},
 		{c.Memory.NearMemDIMMs >= 0, "memory.near_mem_dimms must be non-negative"},
-		{c.Memory.ChannelGBps > 0, "memory.channel_gbps must be positive"},
+		{linkGBps(c.Memory.ChannelGBps), "memory.channel_gbps must be positive" + finiteBps},
 		{c.Memory.StreamEfficieny > 0 && c.Memory.StreamEfficieny <= 1,
 			"memory.stream_efficiency must be in (0,1]"},
 		{c.Memory.RandomEfficieny > 0 && c.Memory.RandomEfficieny <= 1,
 			"memory.random_efficiency must be in (0,1]"},
-		{c.Memory.NearMemGBps > 0, "memory.near_mem_gbps must be positive"},
-		{c.Memory.AIMBusGBps > 0, "memory.aimbus_gbps must be positive"},
+		{linkGBps(c.Memory.NearMemGBps), "memory.near_mem_gbps must be positive" + finiteBps},
+		{linkGBps(c.Memory.AIMBusGBps), "memory.aimbus_gbps must be positive" + finiteBps},
 		{c.Storage.SSDs > 0, "storage.ssds must be positive"},
-		{c.Storage.HostPCIeGBps > 0, "storage.host_pcie_gbps must be positive"},
+		{linkGBps(c.Storage.HostPCIeGBps), "storage.host_pcie_gbps must be positive" + finiteBps},
 		{c.Storage.HostPCIeGBps <= c.Storage.HostPCIeRawGBps,
 			"storage.host_pcie_gbps cannot exceed raw link bandwidth"},
-		{c.Storage.DeviceGBps > 0, "storage.device_gbps must be positive"},
+		{linkGBps(c.Storage.DeviceGBps), "storage.device_gbps must be positive" + finiteBps},
+		{c.Storage.ReadLatencyUS >= 0, "storage.read_latency_us must be non-negative"},
 		{c.Storage.PageBytes > 0, "storage.page_bytes must be positive"},
 		{c.Storage.RandomIOPS > 0, "storage.random_iops must be positive"},
 		{c.Storage.GatherGrainBytes > 0, "storage.gather_grain_bytes must be positive"},
 		{c.Storage.HostGatherEff > 0 && c.Storage.HostGatherEff <= 1,
 			"storage.host_gather_eff must be in (0,1]"},
-		{c.OnChip.NoCGBps > 0, "on_chip.noc_gbps must be positive"},
+		{linkGBps(c.OnChip.NoCGBps), "on_chip.noc_gbps must be positive" + finiteBps},
 		{c.OnChip.CachePollutionFactor > 0 && c.OnChip.CachePollutionFactor <= 1,
 			"on_chip.cache_pollution_factor must be in (0,1]"},
+		{c.OnChip.TLBMissRate >= 0 && c.OnChip.TLBMissRate <= 1, "on_chip.tlb_miss_rate must be in [0,1]"},
+		{c.OnChip.TLBMissLatencyNS >= 0, "on_chip.tlb_miss_latency_ns must be non-negative"},
 		{c.GAM.StreamDepth >= 1, "gam.stream_depth must be >= 1"},
 		{c.GAM.CommandLatencyNS >= 0, "gam.command_latency_ns must be non-negative"},
+		{c.GAM.StatusSlackFraction >= 0, "gam.status_slack_fraction must be non-negative"},
 		{c.Instances.OnChip >= 0, "instances.on_chip must be non-negative"},
 		{c.Instances.NearMemory >= 0, "instances.near_memory must be non-negative"},
 		{c.Instances.NearStorage >= 0, "instances.near_storage must be non-negative"},
@@ -256,6 +261,16 @@ func (c *SystemConfig) Validate() error {
 		}
 	}
 	return nil
+}
+
+// finiteBps completes the message of a failed linkGBps check.
+const finiteBps = " and finite in bytes/s"
+
+// linkGBps reports whether a GB/s figure makes a usable link bandwidth: at
+// least one byte per second and still finite once scaled to bytes/s.
+func linkGBps(v float64) bool {
+	bps := v * GBps
+	return bps >= 1 && bps <= math.MaxFloat64
 }
 
 // WithInstances returns a copy of c with the instance counts replaced —

@@ -20,6 +20,107 @@ func SquaredL2(p, q []float32) float32 {
 	return sum
 }
 
+// Nearest returns the lowest-index row of rows with the smallest ‖row − q‖²
+// and that distance, among rows whose distance does not exceed bound; it
+// returns -1 when every row's does. Pass +Inf as bound for a plain
+// nearest-row search, or the distance to a known row (a point's previous
+// centroid) to prune: then Nearest returns the same row, bit for bit, as
+// the naive arg-min loop seeded with row 0 (`best, bestD := 0, d(0)` and
+// `d(c) < bestD` for c = 1…), whenever no distance is NaN.
+//
+// Each distance is accumulated exactly like SquaredL2: one float32
+// accumulator, elements 0…D−1 in order. Rows go two at a time in lock step,
+// so one row's dependent chain of adds overlaps the other's; the running
+// sums are checked after every 8 elements and the pair abandoned once both
+// exceed the current limit (bound, or the best full distance so far if
+// smaller), and a finished row above the limit is dropped. That is exact:
+// a float32 sum of non-negative terms never decreases, so a dropped row's
+// full distance is strictly above a distance some row reaches, the row
+// that wins a tie is never dropped (nor is one whose sum is NaN), and the
+// survivors are compared in index order.
+func Nearest(rows *Matrix, q []float32, bound float32) (int, float32) {
+	d := len(q)
+	if rows.Cols != d {
+		panic(fmt.Sprintf("kernels: Nearest dim mismatch %d vs %d", rows.Cols, d))
+	}
+	best, bestD, lim := -1, float32(0), bound
+	accept := func(c int, sum float32) {
+		if sum > lim {
+			return
+		}
+		if best < 0 || sum < bestD {
+			best, bestD = c, sum
+			if sum < lim {
+				lim = sum
+			}
+		}
+	}
+	q = q[:d:d] // cap == len lets the compiler drop the block bounds checks
+	n := rows.Rows
+pairLoop:
+	for c := 0; c < n; c += 2 {
+		off0, off1 := c*d, c*d+d
+		if c+1 == n {
+			off1 = off0 // an odd last row is paired with itself
+		}
+		r0 := rows.Data[off0 : off0+d : off0+d]
+		r1 := rows.Data[off1 : off1+d : off1+d]
+		var s0, s1 float32
+		j := 0
+		for ; j+8 <= d; j += 8 {
+			a := (*[8]float32)(r0[j : j+8])
+			b := (*[8]float32)(r1[j : j+8])
+			x := (*[8]float32)(q[j : j+8])
+			d0 := a[0] - x[0]
+			s0 += d0 * d0
+			e0 := b[0] - x[0]
+			s1 += e0 * e0
+			d1 := a[1] - x[1]
+			s0 += d1 * d1
+			e1 := b[1] - x[1]
+			s1 += e1 * e1
+			d2 := a[2] - x[2]
+			s0 += d2 * d2
+			e2 := b[2] - x[2]
+			s1 += e2 * e2
+			d3 := a[3] - x[3]
+			s0 += d3 * d3
+			e3 := b[3] - x[3]
+			s1 += e3 * e3
+			d4 := a[4] - x[4]
+			s0 += d4 * d4
+			e4 := b[4] - x[4]
+			s1 += e4 * e4
+			d5 := a[5] - x[5]
+			s0 += d5 * d5
+			e5 := b[5] - x[5]
+			s1 += e5 * e5
+			d6 := a[6] - x[6]
+			s0 += d6 * d6
+			e6 := b[6] - x[6]
+			s1 += e6 * e6
+			d7 := a[7] - x[7]
+			s0 += d7 * d7
+			e7 := b[7] - x[7]
+			s1 += e7 * e7
+			if s0 > lim && s1 > lim {
+				continue pairLoop
+			}
+		}
+		for ; j < d; j++ {
+			d0 := r0[j] - q[j]
+			s0 += d0 * d0
+			e0 := r1[j] - q[j]
+			s1 += e0 * e0
+		}
+		accept(c, s0)
+		if c+1 < n {
+			accept(c+1, s1)
+		}
+	}
+	return best, bestD
+}
+
 // SquaredNorm computes ‖v‖².
 func SquaredNorm(v []float32) float32 {
 	var sum float32

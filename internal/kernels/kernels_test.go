@@ -120,6 +120,41 @@ func TestSquaredL2(t *testing.T) {
 	}
 }
 
+// Property: Nearest returns the plain arg-min scan's row (lowest index on
+// ties) for any dimension, with or without a bound set to a reachable
+// distance, and -1 when the bound is below every distance.
+func TestNearestMatchesScan(t *testing.T) {
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		d := 1 + rng.Intn(20)
+		rows := NewMatrix(1+rng.Intn(12), d)
+		for i := range rows.Data {
+			rows.Data[i] = float32(rng.Intn(3)) // small integers: many exact ties
+		}
+		q := make([]float32, d)
+		for i := range q {
+			q[i] = float32(rng.Intn(3))
+		}
+		best, bestD := 0, SquaredL2(q, rows.Row(0))
+		for c := 1; c < rows.Rows; c++ {
+			if dist := SquaredL2(q, rows.Row(c)); dist < bestD {
+				best, bestD = c, dist
+			}
+		}
+		known := SquaredL2(q, rows.Row(rng.Intn(rows.Rows)))
+		for _, bound := range []float32{float32(math.Inf(1)), known, bestD} {
+			if c, dist := Nearest(rows, q, bound); c != best || dist != bestD {
+				return false
+			}
+		}
+		c, _ := Nearest(rows, q, bestD-0.5)
+		return c == -1
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
+		t.Error(err)
+	}
+}
+
 // Property: the Eq. 1 decomposition ‖q‖²+‖c‖²−2⟨q,c⟩ equals the direct
 // Eq. 2 computation.
 func TestEq1DecompositionMatchesEq2(t *testing.T) {
