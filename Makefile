@@ -1,6 +1,10 @@
 # Development workflow for the ReACH reproduction.
 #
-#   make check       — everything CI runs: formatting, build, vet, race tests
+#   make check       — everything CI runs: formatting, build, vet, race tests,
+#                      then vet and tests of the perfbench module
+#   make perfbench-check — vet and test the perfbench module; it is its own
+#                      Go module, so `go build ./...` at the root cannot see
+#                      a change that breaks it
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
 #   make bench       — root + sim benchmarks with allocation stats
 #   make bench-smoke — 1x pass over the engine benchmarks, so benchmark
@@ -38,7 +42,8 @@
 #
 # The plain -cluster report is diffed against the committed golden once,
 # by cluster-smoke (and by the tier-1 TestClusterRunGolden); `make check`
-# runs the race detector over every package.
+# runs the race detector over every package and vets and tests the
+# perfbench module.
 
 GO ?= go
 SMOKE_DIR := metrics-smoke-out
@@ -49,9 +54,9 @@ CACHESMOKE_DIR := cache-smoke-out
 OBSSMOKE_DIR := cluster-obs-smoke-out
 FLIGHTSMOKE_DIR := flight-smoke-out
 
-.PHONY: check fmt-check build vet test race bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cluster-par-smoke cache-smoke cluster-obs-smoke flight-smoke
+.PHONY: check fmt-check build vet test race perfbench-check bench bench-smoke metrics-smoke qtrace-smoke cluster-smoke cluster-par-smoke cache-smoke cluster-obs-smoke flight-smoke
 
-check: fmt-check build vet race
+check: fmt-check build vet race perfbench-check
 
 # gofmt -l prints offending files; any output fails the target.
 fmt-check:
@@ -71,6 +76,10 @@ test:
 
 race:
 	$(GO) test -race ./...
+
+perfbench-check:
+	$(GO) -C perfbench vet ./...
+	$(GO) -C perfbench test ./...
 
 bench:
 	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/

@@ -21,7 +21,8 @@ import (
 // A numeric value the run would have to replace is rejected by name.
 func TestValidateFlagMatrix(t *testing.T) {
 	// given maps "name" to a set flag and "name=value" to a set flag with
-	// that numeric value (int, float or duration, as its flag parses it).
+	// that value (int, float or duration, as its flag parses it, else the
+	// string).
 	given := func(flags ...string) map[string]any {
 		m := map[string]any{}
 		for _, f := range flags {
@@ -37,7 +38,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 			} else if d, err := time.ParseDuration(val); err == nil {
 				m[name] = d
 			} else {
-				t.Fatalf("bad test value %q", f)
+				m[name] = val
 			}
 		}
 		return m
@@ -79,6 +80,27 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "slo", "slo-window=0"}, "-slo-window must be positive"},
 		{[]string{"cluster", "flight", "flight-window=-5"}, "-flight-window must be positive"},
 		{[]string{"metrics-interval=0s"}, "-metrics-interval must be positive"},
+		{[]string{"stats", "exp=fig8", "j=3", "config", "qtrace"}, "does nothing with -stats"},
+		{[]string{"stats", "exp=fig8"}, "-exp does nothing with -stats"},
+		{[]string{"stats", "j=3"}, "-j does nothing with -stats"},
+		{[]string{"stats", "config"}, "-config does nothing with -stats"},
+		{[]string{"stats", "qtrace"}, "-qtrace does nothing with -stats"},
+		{[]string{"stats", "trace"}, "-trace does nothing with -stats"},
+		{[]string{"stats", "metrics"}, "-metrics does nothing with -stats"},
+		{[]string{"trace", "exp=fig8", "list", "progress"}, "does nothing with -trace"},
+		{[]string{"trace", "exp=fig8"}, "-exp does nothing with -trace"},
+		{[]string{"trace", "list"}, "-list does nothing with -trace"},
+		{[]string{"trace", "progress"}, "-progress does nothing with -trace"},
+		{[]string{"trace", "csv"}, "-csv does nothing with -trace"},
+		{[]string{"trace", "http"}, "-http does nothing with -trace"},
+		{[]string{"trace", "pj"}, "-pj does nothing with -trace"},
+		{[]string{"list", "exp=fig8"}, "-exp does nothing with -list"},
+		{[]string{"list", "csv"}, "-csv does nothing with -list"},
+		{[]string{"list", "j"}, "-j does nothing with -list"},
+		{[]string{"list", "spans"}, "-spans does nothing with -list"},
+		{[]string{"config"}, "-config only applies to -exp table2"},
+		{[]string{"exp=all", "config"}, "-config only applies to -exp table2"},
+		{[]string{"exp=fig8", "config"}, "-config only applies to -exp table2"},
 	}
 	for _, c := range rejected {
 		err := validateFlags(given(c.flags...))
@@ -99,6 +121,12 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{"cluster", "flight"},
 		{"cluster", "flight", "flight-window", "detect", "arrival", "slo", "metrics", "trace"},
 		{"stats", "csv"},
+		{"stats", "csv", "cpuprofile", "memprofile"},
+		{"trace", "metrics", "metrics-interval", "spans", "cpuprofile"},
+		{"list"},
+		{"list", "memprofile"},
+		{"exp=table2", "config"},
+		{"exp=table2", "config", "csv", "j"},
 	}
 	for _, flags := range accepted {
 		if err := validateFlags(given(flags...)); err != nil {

@@ -28,6 +28,7 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -93,6 +94,37 @@ func validateFlags(given map[string]any) error {
 				return fmt.Errorf("-%s requires -cluster", f)
 			}
 		}
+		// -stats, -trace and -list each run one fixed job (the first set
+		// wins, in this order) and read only these flags besides the
+		// profiling ones.
+		for _, m := range []struct {
+			mode  string
+			reads []string
+		}{
+			{"stats", []string{"csv"}},
+			{"trace", []string{"metrics", "metrics-interval", "spans"}},
+			{"list", nil},
+		} {
+			if !set(m.mode) {
+				continue
+			}
+			reads := append([]string{m.mode, "cpuprofile", "memprofile"}, m.reads...)
+			names := make([]string, 0, len(given))
+			for f := range given {
+				names = append(names, f)
+			}
+			sort.Strings(names)
+			for _, f := range names {
+				if !slices.Contains(reads, f) {
+					return fmt.Errorf("-%s does nothing with -%s; drop one of them", f, m.mode)
+				}
+			}
+			break
+		}
+		// Every experiment but Table II simulates its own pinned configs.
+		if set("config") && given["exp"] != "table2" {
+			return fmt.Errorf("-config only applies to -exp table2")
+		}
 	}
 	for _, dep := range [][2]string{
 		{"slo-window", "slo"}, {"flight-window", "flight"}, {"detect", "flight"},
@@ -134,7 +166,7 @@ func main() {
 		exp       = flag.String("exp", "all", "experiment id (see -list)")
 		csvOut    = flag.Bool("csv", false, "emit CSV instead of aligned text")
 		list      = flag.Bool("list", false, "list experiment ids and exit")
-		cfgPath   = flag.String("config", "", "optional system config JSON (defaults to Table II)")
+		cfgPath   = flag.String("config", "", "with -exp table2, render this system config JSON instead of the Table II defaults")
 		tracePath = flag.String("trace", "", "write a Chrome trace of a ReACH pipeline run to this file")
 		stats     = flag.Bool("stats", false, "run a ReACH pipeline and dump all component statistics")
 		jobs      = flag.Int("j", 0, "max simulations in flight across all experiments (0 = GOMAXPROCS)")

@@ -48,9 +48,6 @@ func (a *NearStorAccel) Level() Level { return NearStorage }
 // Fabric exposes the device fabric.
 func (a *NearStorAccel) Fabric() *fpga.Fabric { return a.fab }
 
-// SSD reports the attached device index.
-func (a *NearStorAccel) SSD() int { return a.ssd }
-
 // BusyUntil reports when the device can accept the next task.
 func (a *NearStorAccel) BusyUntil() sim.Time { return a.fab.BusyUntil() }
 

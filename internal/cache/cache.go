@@ -73,21 +73,6 @@ func New(name string, capacityBytes int64, assoc int, lineSize int64) (*Cache, e
 	}, nil
 }
 
-// MustNew is New panicking on error, for static configurations.
-func MustNew(name string, capacityBytes int64, assoc int, lineSize int64) *Cache {
-	c, err := New(name, capacityBytes, assoc, lineSize)
-	if err != nil {
-		panic(err)
-	}
-	return c
-}
-
-// Name reports the cache's diagnostic name.
-func (c *Cache) Name() string { return c.name }
-
-// LineSize reports the cache's line size in bytes.
-func (c *Cache) LineSize() int64 { return c.lineSize }
-
 // CapacityBytes reports total data capacity.
 func (c *Cache) CapacityBytes() int64 {
 	return int64(c.sets) * int64(c.assoc) * c.lineSize

@@ -36,9 +36,6 @@ func NewBinaryEncoder(bitsN, dim int, seed int64) (*BinaryEncoder, error) {
 	return &BinaryEncoder{bits: bitsN, dim: dim, planes: planes}, nil
 }
 
-// Bits reports the code length.
-func (e *BinaryEncoder) Bits() int { return e.bits }
-
 // CodeBytes reports the compressed size per vector.
 func (e *BinaryEncoder) CodeBytes() int64 { return int64(e.bits / 8) }
 

@@ -128,9 +128,6 @@ func (r *Router) Done(node int) {
 	}
 }
 
-// Load reports a node's current outstanding requests.
-func (r *Router) Load(node int) int { return r.load[node] }
-
 // LoadsInto appends every node's current outstanding count to dst and
 // returns it — the flight recorder's allocation-free view of live queue
 // depths (callers pass a reused scratch slice).

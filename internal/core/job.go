@@ -86,9 +86,6 @@ type TaskNode struct {
 	Polls        int      // status packets it took to observe completion
 }
 
-// State reports the node's scheduling state.
-func (n *TaskNode) State() NodeState { return n.state }
-
 // Job is one request from the host application (one query batch in the
 // case study): a DAG of task nodes the GAM decomposes and schedules.
 type Job struct {

@@ -110,18 +110,11 @@ func NewNode(eng *sim.Domain, cfg config.SystemConfig, prefix string) (*System, 
 // Engine exposes the simulation engine.
 func (s *System) Engine() *sim.Engine { return s.eng }
 
-// Prefix reports the node's registry-name prefix ("" for a single-server
-// system).
-func (s *System) Prefix() string { return s.prefix }
-
 // Config reports the system configuration.
 func (s *System) Config() config.SystemConfig { return s.cfg }
 
 // Meter exposes the energy meter.
 func (s *System) Meter() *energy.Meter { return s.meter }
-
-// Platform exposes the shared hardware.
-func (s *System) Platform() *accel.Platform { return s.plat }
 
 // Registry exposes the accelerator-template registry.
 func (s *System) Registry() *fpga.Registry { return s.registry }

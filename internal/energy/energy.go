@@ -134,16 +134,24 @@ type cellKey struct {
 	kind  Kind
 }
 
+type cell struct {
+	key    cellKey
+	joules float64
+}
+
 // Meter accumulates energy, attributed to (component, pipeline stage,
-// compute-vs-movement).
+// compute-vs-movement). Cells are kept in first-insertion order and every
+// aggregate sums them in that order, so a report's floating-point totals
+// do not depend on map iteration order.
 type Meter struct {
 	costs Costs
-	cells map[cellKey]float64
+	cells []cell
+	index map[cellKey]int // cell position by key
 }
 
 // NewMeter creates a meter with the given constants.
 func NewMeter(costs Costs) *Meter {
-	return &Meter{costs: costs, cells: make(map[cellKey]float64)}
+	return &Meter{costs: costs, index: make(map[cellKey]int)}
 }
 
 // Costs reports the meter's constants.
@@ -154,7 +162,28 @@ func (m *Meter) Add(c Component, stage string, kind Kind, joules float64) {
 	if joules < 0 {
 		panic(fmt.Sprintf("energy: negative energy %v for %v/%s", joules, c, stage))
 	}
-	m.cells[cellKey{c, stage, kind}] += joules
+	m.add(cellKey{c, stage, kind}, joules)
+}
+
+func (m *Meter) add(k cellKey, joules float64) {
+	i, ok := m.index[k]
+	if !ok {
+		i = len(m.cells)
+		m.index[k] = i
+		m.cells = append(m.cells, cell{key: k})
+	}
+	m.cells[i].joules += joules
+}
+
+// sum adds, in insertion order, the joules of every cell that keep selects.
+func (m *Meter) sum(keep func(cellKey) bool) float64 {
+	var sum float64
+	for _, c := range m.cells {
+		if keep(c.key) {
+			sum += c.joules
+		}
+	}
+	return sum
 }
 
 // AddActive records P×t compute energy for an accelerator.
@@ -205,67 +234,33 @@ func (m *Meter) AddBackground(stage string, dimms, ssds int, d sim.Time) {
 
 // Total reports total joules.
 func (m *Meter) Total() float64 {
-	var sum float64
-	for _, v := range m.cells {
-		sum += v
-	}
-	return sum
+	return m.sum(func(cellKey) bool { return true })
 }
 
 // Component reports total joules for one component.
 func (m *Meter) Component(c Component) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.c == c {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(k cellKey) bool { return k.c == c })
 }
 
 // Stage reports total joules for one pipeline stage.
 func (m *Meter) Stage(stage string) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.stage == stage {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(k cellKey) bool { return k.stage == stage })
 }
 
 // StageKind reports joules for (stage, kind) — the Figure 8 right chart.
 func (m *Meter) StageKind(stage string, kind Kind) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.stage == stage && k.kind == kind {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(k cellKey) bool { return k.stage == stage && k.kind == kind })
 }
 
 // ComponentStage reports joules for (component, stage) — the Figure 8 left
 // chart's stacking.
 func (m *Meter) ComponentStage(c Component, stage string) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.c == c && k.stage == stage {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(k cellKey) bool { return k.c == c && k.stage == stage })
 }
 
 // Kind reports total joules of one kind.
 func (m *Meter) Kind(kind Kind) float64 {
-	var sum float64
-	for k, v := range m.cells {
-		if k.kind == kind {
-			sum += v
-		}
-	}
-	return sum
+	return m.sum(func(k cellKey) bool { return k.kind == kind })
 }
 
 // MovementShare reports movement / total, the paper's headline "79 % of the
@@ -281,8 +276,8 @@ func (m *Meter) MovementShare() float64 {
 // Stages lists the stage labels seen so far, sorted.
 func (m *Meter) Stages() []string {
 	set := map[string]bool{}
-	for k := range m.cells {
-		set[k.stage] = true
+	for _, c := range m.cells {
+		set[c.key.stage] = true
 	}
 	out := make([]string, 0, len(set))
 	for s := range set {
@@ -292,14 +287,15 @@ func (m *Meter) Stages() []string {
 	return out
 }
 
-// Merge adds all of other's cells into m.
+// Merge adds all of other's cells into m, in other's insertion order.
 func (m *Meter) Merge(other *Meter) {
-	for k, v := range other.cells {
-		m.cells[k] += v
+	for _, c := range other.cells {
+		m.add(c.key, c.joules)
 	}
 }
 
 // Reset clears all accumulated energy.
 func (m *Meter) Reset() {
-	m.cells = make(map[cellKey]float64)
+	m.cells = nil
+	m.index = make(map[cellKey]int)
 }

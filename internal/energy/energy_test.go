@@ -168,3 +168,61 @@ func TestMeterConsistency(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// TestAggregatesSumInInsertionOrder pins every aggregate to one summation
+// order. One 1e16 J cell absorbs each later 1 J addition (the ulp at 1e16
+// is 2), so a sum that visits the small cells first lands elsewhere: any
+// iteration order other than first insertion shows up as different bits.
+func TestAggregatesSumInInsertionOrder(t *testing.T) {
+	type entry struct {
+		c      Component
+		stage  string
+		kind   Kind
+		joules float64
+	}
+	var entries []entry
+	for _, stage := range []string{"a", "b"} {
+		for _, c := range Components() {
+			for _, kind := range []Kind{Compute, Movement} {
+				entries = append(entries, entry{c, stage, kind, 1})
+			}
+		}
+	}
+	entries[0].joules = 1e16 // (ACC, "a", Compute), inserted first
+	m := NewMeter(DefaultCosts())
+	for _, e := range entries {
+		m.Add(e.c, e.stage, e.kind, e.joules)
+	}
+	want := func(keep func(entry) bool) float64 {
+		var sum float64
+		for _, e := range entries {
+			if keep(e) {
+				sum += e.joules
+			}
+		}
+		return sum
+	}
+	checks := []struct {
+		name string
+		got  func() float64
+		keep func(entry) bool
+	}{
+		{"Total", m.Total, func(entry) bool { return true }},
+		{"Component", func() float64 { return m.Component(ACC) }, func(e entry) bool { return e.c == ACC }},
+		{"Stage", func() float64 { return m.Stage("a") }, func(e entry) bool { return e.stage == "a" }},
+		{"StageKind", func() float64 { return m.StageKind("a", Compute) },
+			func(e entry) bool { return e.stage == "a" && e.kind == Compute }},
+		{"ComponentStage", func() float64 { return m.ComponentStage(ACC, "a") },
+			func(e entry) bool { return e.c == ACC && e.stage == "a" }},
+		{"Kind", func() float64 { return m.Kind(Compute) }, func(e entry) bool { return e.kind == Compute }},
+	}
+	for _, ck := range checks {
+		w := math.Float64bits(want(ck.keep))
+		for i := 0; i < 200; i++ {
+			if g := math.Float64bits(ck.got()); g != w {
+				t.Fatalf("%s call %d = %v, want insertion-order sum %v",
+					ck.name, i, math.Float64frombits(g), math.Float64frombits(w))
+			}
+		}
+	}
+}

@@ -223,7 +223,6 @@ func (s RunSpec) name() string {
 // runOptions collects the execution knobs shared by every experiment
 // entry point.
 type runOptions struct {
-	workers  int
 	pool     *runner.Pool
 	progress func(done, total int, name string)
 	metrics  *metrics.Options
@@ -243,10 +242,6 @@ type runOptions struct {
 // simulates): worker count, shared concurrency pool, progress reporting,
 // observability.
 type Option func(*runOptions)
-
-// WithWorkers bounds the experiment's private worker pool (<= 0 means
-// GOMAXPROCS). Ignored when a shared pool is set.
-func WithWorkers(n int) Option { return func(o *runOptions) { o.workers = n } }
 
 // WithPool runs the experiment's simulations on a concurrency budget
 // shared with other experiments — how `reachsim -exp all -j N` bounds the
@@ -289,7 +284,7 @@ func WithQTrace(qo qtrace.Options, observe func(run string, res *RunResult)) Opt
 // WithClusterParallel sets how many worker goroutines each cluster
 // simulation uses for its event domains (sim.MultiEngine workers),
 // overriding ClusterConfig.ParallelDomains; n = 0 or 1 is serial. This is
-// orthogonal to WithWorkers/WithPool, which bound how many independent
+// orthogonal to WithPool, which bound how many independent
 // simulations run at once: -j spends cores across sweep cells, -pj spends
 // them inside one cluster. Results are byte-identical at any value.
 // Experiments without a cluster ignore it.
@@ -306,7 +301,7 @@ func buildOptions(opts []Option) runOptions {
 }
 
 func (o runOptions) runnerOptions(name func(i int) string) runner.Options {
-	ro := runner.Options{Workers: o.workers, Pool: o.pool}
+	ro := runner.Options{Pool: o.pool}
 	if o.progress != nil {
 		progress := o.progress
 		ro.Progress = func(e runner.Event) { progress(e.Done, e.Total, name(e.Index)) }

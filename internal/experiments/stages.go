@@ -44,18 +44,6 @@ func ReACHMapping() Mapping {
 // SingleLevel maps every stage to one level (the §VI-C baselines).
 func SingleLevel(l accel.Level) Mapping { return Mapping{FE: l, SL: l, RR: l} }
 
-// Level returns the level of a stage label.
-func (m Mapping) Level(stage string) accel.Level {
-	switch stage {
-	case StageFE:
-		return m.FE
-	case StageSL:
-		return m.SL
-	default:
-		return m.RR
-	}
-}
-
 // configFor sizes the accelerator population for a mapping: one on-chip
 // instance when used, n near-memory/near-storage instances when used.
 func configFor(m Mapping, n int) config.SystemConfig {

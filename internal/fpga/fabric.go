@@ -36,12 +36,6 @@ func NewFabric(eng *sim.Engine, name string, device *Device) *Fabric {
 	return &Fabric{eng: eng, name: name, device: device}
 }
 
-// Name reports the fabric's diagnostic name.
-func (f *Fabric) Name() string { return f.name }
-
-// Device reports the part this fabric is.
-func (f *Fabric) Device() *Device { return f.device }
-
 // Loaded reports the currently configured template (nil when blank).
 func (f *Fabric) Loaded() *Template { return f.loaded }
 

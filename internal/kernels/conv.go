@@ -26,9 +26,6 @@ func (t *Tensor3) At(c, y, x int) float32 { return t.Data[(c*t.H+y)*t.W+x] }
 // Set stores element (c, y, x).
 func (t *Tensor3) Set(c, y, x int, v float32) { t.Data[(c*t.H+y)*t.W+x] = v }
 
-// Len reports the element count.
-func (t *Tensor3) Len() int { return len(t.Data) }
-
 // ConvParams holds a convolution layer's weights: OutC filters of shape
 // InC×K×K plus one bias per filter.
 type ConvParams struct {
@@ -52,9 +49,6 @@ func NewConvParams(outC, inC, k int) *ConvParams {
 func (p *ConvParams) w(o, i, ky, kx int) float32 {
 	return p.Weights[((o*p.InC+i)*p.K+ky)*p.K+kx]
 }
-
-// ParamCount reports the number of parameters (weights + biases).
-func (p *ConvParams) ParamCount() int { return len(p.Weights) + len(p.Bias) }
 
 // Conv2D applies a same-padded, stride-1 K×K convolution — the layer shape
 // used throughout VGG (3×3, pad 1).

@@ -220,9 +220,6 @@ func (t *TopK) Merge(other *TopK) {
 	}
 }
 
-// Len reports how many results are held (≤ K).
-func (t *TopK) Len() int { return len(t.h) }
-
 // Results returns the selected neighbours sorted by ascending distance
 // (ties by ascending ID). The selector remains usable afterwards.
 func (t *TopK) Results() []Neighbor {

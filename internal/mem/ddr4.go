@@ -89,7 +89,6 @@ type bank struct {
 	openRow   int64 // -1 when precharged (closed)
 	readyAt   sim.Time
 	openedAt  sim.Time
-	activates uint64
 	rowHits   uint64
 	rowMisses uint64
 }
@@ -161,9 +160,6 @@ func NewDIMM(eng *sim.Engine, name string, timing DDR4Timing, geom Geometry) *DI
 	return d
 }
 
-// Name reports the DIMM's diagnostic name.
-func (d *DIMM) Name() string { return d.name }
-
 // decode splits a physical address into bank and row indices. Banks are
 // interleaved at line granularity so sequential lines hit different banks
 // (standard bank interleaving), and a full stripe of lines across all banks
@@ -202,7 +198,6 @@ func (d *DIMM) Access(addr int64, write bool) sim.Time {
 		cmdDone = start + d.timing.CL
 	case b.openRow == -1:
 		b.rowMisses++
-		b.activates++
 		actAt := maxTime(b.readyAt, now)
 		b.openedAt = actAt
 		cmdDone = maxTime(actAt+d.timing.TRCD, start) + d.timing.CL
@@ -210,7 +205,6 @@ func (d *DIMM) Access(addr int64, write bool) sim.Time {
 	default:
 		// Row conflict: respect tRAS before precharging the open row.
 		b.rowMisses++
-		b.activates++
 		pre := maxTime(b.readyAt, now)
 		if minClose := b.openedAt + d.timing.TRAS; minClose > pre {
 			pre = minClose
@@ -314,9 +308,6 @@ func (d *DIMM) Handback() (sim.Time, error) {
 	return t, nil
 }
 
-// ControlledByAIM reports whether the DIMM is currently accelerator-owned.
-func (d *DIMM) ControlledByAIM() bool { return d.controlledByAIM }
-
 // Handoffs reports how many control transfers occurred.
 func (d *DIMM) Handoffs() uint64 { return d.handoffs }
 
@@ -331,16 +322,6 @@ func (d *DIMM) RowHitRate() float64 {
 		return 0
 	}
 	return float64(hits) / float64(total)
-}
-
-// Activates reports the total row activations, the dominant term of DRAM
-// dynamic energy.
-func (d *DIMM) Activates() uint64 {
-	var n uint64
-	for i := range d.banks {
-		n += d.banks[i].activates
-	}
-	return n
 }
 
 // BusBytes reports total data moved over the DIMM bus.

@@ -45,28 +45,6 @@ func (p *Port) Random(n int64) sim.Time {
 	return p.conn.TransferEff(n, p.randomEff)
 }
 
-// EffectiveStreamBandwidth reports peak × stream efficiency, in bytes/s.
-func (p *Port) EffectiveStreamBandwidth() float64 {
-	return p.conn.BytesPerSec() * p.streamEff
-}
-
-// EffectiveRandomBandwidth reports peak × random efficiency, in bytes/s.
-func (p *Port) EffectiveRandomBandwidth() float64 {
-	return p.conn.BytesPerSec() * p.randomEff
-}
-
-// TotalBytes reports payload bytes moved through the port.
-func (p *Port) TotalBytes() uint64 { return p.conn.ResourceStats().Bytes }
-
-// BusyTime reports occupied capacity time.
-func (p *Port) BusyTime() sim.Time { return p.conn.ResourceStats().Busy }
-
-// QueuedDelay reports accumulated contention delay.
-func (p *Port) QueuedDelay() sim.Time { return p.conn.ResourceStats().Wait }
-
-// NextFree reports when the port next has free capacity.
-func (p *Port) NextFree() sim.Time { return p.conn.NextFree() }
-
 // Link exposes the underlying connection for shared-resource wiring
 // (several ports can be layered over one physical channel via NewPortOn).
 func (p *Port) Link() sim.Connection { return p.conn }

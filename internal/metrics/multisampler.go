@@ -37,9 +37,8 @@ type MultiSampler struct {
 	me       *sim.MultiEngine
 	interval sim.Time
 
-	times  column // frontier instants, shared time axis for every series
-	rounds column // barrier round counter at each sample
-	doms   []*Series
+	times column // frontier instants, shared time axis for every series
+	doms  []*Series
 	seriesSet
 
 	walkFn func(name string, res sim.Resource)
@@ -67,18 +66,11 @@ func NewMultiSampler(me *sim.MultiEngine, interval sim.Time) *MultiSampler {
 	return s
 }
 
-// Interval reports the sampling period (a lower bound on sample spacing:
-// samples land on barrier instants).
-func (s *MultiSampler) Interval() sim.Time { return s.interval }
-
 // Samples reports how many sample instants were recorded.
 func (s *MultiSampler) Samples() int { return s.times.len() }
 
 // Time reports the frontier time of the i-th sample instant.
 func (s *MultiSampler) Time(i int) sim.Time { return sim.Time(s.times.at(i)) }
-
-// Round reports the barrier round counter at the i-th sample instant.
-func (s *MultiSampler) Round(i int) uint64 { return uint64(s.rounds.at(i)) }
 
 // OnBarrier implements sim.BarrierObserver: sample when the frontier has
 // advanced a full interval past the previous sample, and always on the
@@ -97,7 +89,6 @@ func (s *MultiSampler) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool
 		}
 	}
 	s.times.append(int64(now))
-	s.rounds.append(int64(m.Rounds()))
 	for i, se := range s.doms {
 		d := m.Domain(i)
 		se.occupancy.append(int64(d.Pending()))

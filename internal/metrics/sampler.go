@@ -151,9 +151,6 @@ func NewSampler(eng *sim.Engine, interval sim.Time) *Sampler {
 	return s
 }
 
-// Interval reports the sampling period.
-func (s *Sampler) Interval() sim.Time { return s.interval }
-
 // Samples reports how many sample instants were recorded.
 func (s *Sampler) Samples() int { return s.times.len() }
 

@@ -62,9 +62,6 @@ type Span struct {
 	V int64
 }
 
-// Duration reports End - Start.
-func (s Span) Duration() sim.Time { return s.End - s.Start }
-
 // SpanLog accumulates spans in emission order. A nil *SpanLog is inert:
 // Add on nil is a no-op, so instrumented model code can hold a nil log
 // when spans are disabled. (The GAM still guards its hooks with a nil

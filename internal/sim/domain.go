@@ -213,9 +213,6 @@ func (m *MultiEngine) SetWorkers(n int) {
 	m.workers = n
 }
 
-// Workers reports the configured per-round execution width.
-func (m *MultiEngine) Workers() int { return m.workers }
-
 // Rounds reports how many barrier rounds have executed.
 func (m *MultiEngine) Rounds() uint64 { return m.rounds }
 

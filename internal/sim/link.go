@@ -70,9 +70,6 @@ func (l *Link) Name() string { return l.name }
 // BytesPerSec reports the link's configured payload bandwidth.
 func (l *Link) BytesPerSec() float64 { return l.bytesPerSec }
 
-// Latency reports the link's fixed per-transfer latency.
-func (l *Link) Latency() Time { return l.latency }
-
 // duration returns the capacity occupancy time of a transfer of n bytes.
 func (l *Link) duration(n int64) Time {
 	if n <= 0 {
@@ -200,19 +197,4 @@ func (l *Link) ResourceStats() ResourceStats {
 		WaitHist:    l.waitHist,
 		ServiceHist: l.serviceHist,
 	}
-}
-
-// Reset clears accounting and availability, as if the link were newly
-// created at the current simulated time.
-func (l *Link) Reset() {
-	l.nextFree = l.eng.Now()
-	l.totalBytes = 0
-	l.busy = 0
-	l.transfers = 0
-	l.queuedDelay = 0
-	l.everTransfered = false
-	l.firstActivity = 0
-	l.lastActivity = 0
-	l.waitHist = NewBoundedHistogram(statHistogramCap)
-	l.serviceHist = NewBoundedHistogram(statHistogramCap)
 }

@@ -4,8 +4,8 @@ import "fmt"
 
 // Connection is serialised, shared bandwidth capacity with FIFO queueing —
 // the interface every bandwidth-bound resource model programs against.
-// Link is the canonical implementation; mem.Port, the NoC crossbar and
-// mesh, the AIMbus, the host PCIe link and the SSD flash interconnects are
+// Link is the canonical implementation; mem.Port, the NoC crossbar, the
+// AIMbus, the host PCIe link and the SSD flash interconnects are
 // all Connections under the hood.
 type Connection interface {
 	Resource
@@ -123,9 +123,6 @@ func (q *Queue) Offer(item any) bool {
 // At returns the i-th queued item without removing it (0 = oldest).
 func (q *Queue) At(i int) any { return q.entries[i].item }
 
-// EnqueuedAt reports when the i-th queued item was offered.
-func (q *Queue) EnqueuedAt(i int) Time { return q.entries[i].at }
-
 // RemoveAt removes and returns the i-th item, recording its queueing wait.
 func (q *Queue) RemoveAt(i int) any {
 	e := q.entries[i]
@@ -139,9 +136,6 @@ func (q *Queue) RemoveAt(i int) any {
 	}
 	return e.item
 }
-
-// Served reports how many entries were removed.
-func (q *Queue) Served() uint64 { return q.served }
 
 // Stalls reports rejected offers.
 func (q *Queue) Stalls() uint64 { return q.stalls }
@@ -198,9 +192,6 @@ func NewWindow(eng *Engine, name string, depth int) *Window {
 // Name reports the registered name.
 func (w *Window) Name() string { return w.name }
 
-// Depth reports the configured limit.
-func (w *Window) Depth() int { return w.depth }
-
 // Admit requests a slot for an operation wanting to start at `at`. When
 // the window is full it retires the oldest outstanding completion and
 // returns the (possibly delayed) admission time; the delay is recorded as
@@ -232,12 +223,6 @@ func (w *Window) Complete(done Time) {
 
 // Outstanding reports current in-flight operations.
 func (w *Window) Outstanding() int { return len(w.inflight) }
-
-// Admitted reports total admitted operations.
-func (w *Window) Admitted() uint64 { return w.admitted }
-
-// WaitTime reports accumulated full-window admission delay.
-func (w *Window) WaitTime() Time { return w.waitTime }
 
 // ResourceStats implements Resource.
 func (w *Window) ResourceStats() ResourceStats {

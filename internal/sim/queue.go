@@ -26,7 +26,7 @@ type TokenQueue struct {
 	putters []pendingPut
 
 	// accounting
-	puts, gets   uint64
+	puts         uint64
 	putWaits     uint64
 	getWaits     uint64
 	maxOccupancy int
@@ -137,7 +137,6 @@ func (q *TokenQueue) Get(onItem func(any)) {
 	if onItem == nil {
 		panic("sim: TokenQueue.Get with nil callback")
 	}
-	q.gets++
 	if q.Len() > 0 {
 		item := q.popItem()
 		q.admitParkedPutter()
@@ -166,7 +165,6 @@ func (q *TokenQueue) TryGet() (any, bool) {
 		return nil, false
 	}
 	item := q.popItem()
-	q.gets++
 	q.admitParkedPutter()
 	return item, true
 }
@@ -185,12 +183,6 @@ func (q *TokenQueue) admitParkedPutter() {
 	}
 }
 
-// Puts reports how many items were offered.
-func (q *TokenQueue) Puts() uint64 { return q.puts }
-
-// Gets reports how many items were requested.
-func (q *TokenQueue) Gets() uint64 { return q.gets }
-
 // PutWaits reports how many producers had to park (back-pressure events).
 func (q *TokenQueue) PutWaits() uint64 { return q.putWaits }
 
@@ -199,9 +191,6 @@ func (q *TokenQueue) GetWaits() uint64 { return q.getWaits }
 
 // MaxOccupancy reports the high-water mark of buffered items.
 func (q *TokenQueue) MaxOccupancy() int { return q.maxOccupancy }
-
-// WaitTime reports accumulated producer+consumer park time.
-func (q *TokenQueue) WaitTime() Time { return q.waitTime }
 
 // ResourceStats implements Resource.
 func (q *TokenQueue) ResourceStats() ResourceStats {
