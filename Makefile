@@ -6,7 +6,9 @@
 #                      Go module, so `go build ./...` at the root cannot see
 #                      a change that breaks it
 #   make test        — fast tier-1 gate (what ROADMAP.md calls the verify step)
-#   make bench       — root + sim benchmarks with allocation stats
+#   make bench       — event-engine benchmarks with allocation stats (the
+#                      evaluation's wall clock, per experiment, is measured
+#                      by `bash perfbench/run.sh --workload eval`)
 #   make bench-smoke — 1x pass over the engine benchmarks, so benchmark
 #                      code runs in CI without paying full benchtime (the
 #                      full evaluation's wall clock is measured by
@@ -82,7 +84,7 @@ perfbench-check:
 	$(GO) -C perfbench test ./...
 
 bench:
-	$(GO) test -bench . -benchmem -run '^$$' . ./internal/sim/
+	$(GO) test -bench . -benchmem -run '^$$' ./internal/sim/
 
 bench-smoke:
 	$(GO) test -bench . -benchtime 1x -benchmem -run '^$$' ./internal/sim/

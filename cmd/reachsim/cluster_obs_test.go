@@ -79,7 +79,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"cluster", "slo=-1"}, "-slo must be positive"},
 		{[]string{"cluster", "slo", "slo-window=0"}, "-slo-window must be positive"},
 		{[]string{"cluster", "flight", "flight-window=-5"}, "-flight-window must be positive"},
-		{[]string{"metrics-interval=0s"}, "-metrics-interval must be positive"},
+		{[]string{"metrics", "metrics-interval=0s"}, "-metrics-interval must be positive"},
 		{[]string{"stats", "exp=fig8", "j=3", "config", "qtrace"}, "does nothing with -stats"},
 		{[]string{"stats", "exp=fig8"}, "-exp does nothing with -stats"},
 		{[]string{"stats", "j=3"}, "-j does nothing with -stats"},
@@ -101,6 +101,10 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{[]string{"config"}, "-config only applies to -exp table2"},
 		{[]string{"exp=all", "config"}, "-config only applies to -exp table2"},
 		{[]string{"exp=fig8", "config"}, "-config only applies to -exp table2"},
+		{[]string{"spans"}, "-spans requires -metrics"},
+		{[]string{"exp=table1", "spans"}, "-spans requires -metrics"},
+		{[]string{"exp=table1", "metrics-interval=5us"}, "-metrics-interval requires -metrics"},
+		{[]string{"exp=fig9", "qtrace", "spans", "metrics-interval"}, "requires -metrics"},
 	}
 	for _, c := range rejected {
 		err := validateFlags(given(c.flags...))
@@ -111,7 +115,7 @@ func TestValidateFlagMatrix(t *testing.T) {
 	accepted := [][]string{
 		{},
 		{"exp", "j", "csv", "metrics", "metrics-interval", "spans", "qtrace", "progress"},
-		{"exp", "j=0", "pj=0", "metrics-interval=10us"}, // 0 = GOMAXPROCS / config default
+		{"exp", "j=0", "pj=0", "metrics", "metrics-interval=10us"}, // 0 = GOMAXPROCS / config default
 		{"exp", "http", "http-linger"},
 		{"pj"}, // clustersweep spends -pj without -cluster
 		{"trace", "spans", "metrics-interval"},
@@ -119,6 +123,8 @@ func TestValidateFlagMatrix(t *testing.T) {
 		{"cluster", "nodes=8", "cache=0", "cache-ttl=0", "slo=250", "slo-window=50", "flight", "flight-window=1000"},
 		{"cluster", "metrics", "metrics-interval", "spans", "trace", "slo", "slo-window", "http", "http-linger"},
 		{"cluster", "flight"},
+		{"cluster", "spans"},
+		{"cluster", "metrics-interval"},
 		{"cluster", "flight", "flight-window", "detect", "arrival", "slo", "metrics", "trace"},
 		{"stats", "csv"},
 		{"stats", "csv", "cpuprofile", "memprofile"},

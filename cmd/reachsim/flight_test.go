@@ -1,7 +1,9 @@
 package main
 
 import (
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
@@ -50,7 +52,13 @@ func readBundle(t *testing.T, dir string) (string, map[string][]byte) {
 // burst's signature: GAM ready-queue wait, not compute, stretches the
 // tail), and the whole bundle directory is byte-identical at -pj 1, 4
 // and 8 — freezing mid-run does not reintroduce worker-count
-// sensitivity.
+// sensitivity. The serial bundle is also pinned: its directory name and
+// each file's sha256 must match testdata/flight_bundle.golden, which is
+// regenerated deliberately, with the diff explained, by running
+// `reachsim -cluster -slo 400 -arrival flash -flight D -detect` and
+// listing the bundle directory name followed by
+// `sha256sum verdict.json trace.json stragglers.txt domains.json state.json`
+// inside it.
 func TestClusterFlightDetectionParallelInvariant(t *testing.T) {
 	type rendered struct {
 		stdout string
@@ -77,6 +85,17 @@ func TestClusterFlightDetectionParallelInvariant(t *testing.T) {
 	serial := render(1)
 	if !strings.HasPrefix(serial.bundle, "bundle-") || !strings.HasSuffix(serial.bundle, "us") {
 		t.Errorf("bundle %q not named for its trigger time", serial.bundle)
+	}
+	pinned := serial.bundle + "\n"
+	for _, f := range bundleFiles {
+		pinned += fmt.Sprintf("%x  %s\n", sha256.Sum256(serial.files[f]), f)
+	}
+	golden, err := os.ReadFile(filepath.Join("testdata", "flight_bundle.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if pinned != string(golden) {
+		t.Errorf("flash-crowd bundle diverged from testdata/flight_bundle.golden:\ngot:\n%swant:\n%s", pinned, golden)
 	}
 
 	var v struct {

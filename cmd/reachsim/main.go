@@ -125,6 +125,14 @@ func validateFlags(given map[string]any) error {
 		if set("config") && given["exp"] != "table2" {
 			return fmt.Errorf("-config only applies to -exp table2")
 		}
+		// Experiments sample, and record spans, only into a -metrics file.
+		if !set("trace") && !set("metrics") {
+			for _, f := range []string{"spans", "metrics-interval"} {
+				if set(f) {
+					return fmt.Errorf("-%s requires -metrics (or -trace, -cluster)", f)
+				}
+			}
+		}
 	}
 	for _, dep := range [][2]string{
 		{"slo-window", "slo"}, {"flight-window", "flight"}, {"detect", "flight"},

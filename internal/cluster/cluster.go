@@ -4,7 +4,7 @@
 // scatter-gathers every query — feature extraction on the query's home
 // node, the feature vector fanned out over an inter-node network to one
 // replica per shard, shard-local shortlist+rerank, and a merge that
-// completes the query once all (or a quorum of) shard responses return.
+// completes the query once every shard response has returned.
 // Routing between replicas is pluggable (hash affinity, round robin, power
 // of two choices); per-query Zipf popularity skews both which replicas
 // hash routing hammers and how much work each shard contributes, which is
@@ -53,7 +53,6 @@ type Cluster struct {
 
 	allNodes    []int
 	replicaSets [][]int   // shard → candidate replica nodes, precomputed
-	needed      int       // shard responses that complete a query
 	popW        []float64 // cumulative popularity over cfg.ContentItems
 	shardW      []float64 // per-shard work weights (rotated per content)
 	netLat      sim.Time
@@ -115,11 +114,7 @@ func New(cfg config.ClusterConfig, m workload.Model, qopt qtrace.Options) (*Clus
 		model:  m,
 		router: NewRouter(policy, cfg.Nodes, cfg.RouteSeed),
 		qlog:   qtrace.NewLog(qopt),
-		needed: cfg.Quorum,
 		netLat: sim.FromSeconds(cfg.NetLatencyUS * 1e-6),
-	}
-	if c.needed == 0 {
-		c.needed = cfg.Shards
 	}
 	bw := cfg.NetGBps * config.GBps
 	// The wire latency is charged exactly once per hop, by the cross-domain
@@ -391,7 +386,6 @@ type query struct {
 	shardXfer  []sim.Time
 
 	responses int
-	merged    bool
 }
 
 // getQuery pops a recycled query (or builds one) and initialises it for
@@ -402,7 +396,6 @@ func (c *Cluster) getQuery(id, content int) *query {
 		q = c.qpool[n-1]
 		c.qpool = c.qpool[:n-1]
 		q.responses = 0
-		q.merged = false
 	} else {
 		q = &query{
 			c:              c,
@@ -574,8 +567,9 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 			Start:  q.shardExecEnd[shard], End: now,
 		})
 		q.responses++
-		if !q.merged && q.responses >= c.needed {
-			q.merged = true
+		if q.responses == c.cfg.Shards {
+			// Last response: merge, then recycle. The query's timeline is
+			// final from here on.
 			c.completed++
 			if c.trackStragglers {
 				c.recordStraggler(q, shard, now)
@@ -592,9 +586,7 @@ func (q *query) Fire(eng *sim.Engine, arg uint64) {
 					c.co.release(p)
 				}
 			}
-		}
-		if q.responses == c.cfg.Shards {
-			c.qpool = append(c.qpool, q) // last response: recycle
+			c.qpool = append(c.qpool, q)
 		}
 	}
 }

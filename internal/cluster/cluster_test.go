@@ -2,6 +2,8 @@ package cluster
 
 import (
 	"bytes"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,25 +131,62 @@ func TestClusterShardMapPinning(t *testing.T) {
 	}
 }
 
-// TestClusterQuorumMergesEarly: a 2-of-4 quorum merge completes no later
-// than the all-shards merge on the same arrival sequence.
-func TestClusterQuorumMergesEarly(t *testing.T) {
-	mean := func(quorum int) float64 {
-		cfg := config.DefaultCluster()
-		cfg.Quorum = quorum
-		c := buildAndRun(t, cfg, 8, sim.FromSeconds(1e-3))
-		var sum float64
-		for _, q := range c.QLog().Queries() {
-			sum += q.Latency().Seconds()
-		}
-		return sum / 8
-	}
-	all, quorum := mean(0), mean(2)
-	if quorum > all {
-		t.Fatalf("2-of-4 quorum mean latency %.6fs exceeds all-shards %.6fs", quorum, all)
-	}
-	if quorum == all {
-		t.Fatalf("quorum merge made no difference (%.6fs)", quorum)
+// completionCopies deep-copies each query out of the log at the instant
+// it completes, so a test can compare the live log against it later.
+type completionCopies struct {
+	log  *qtrace.Log
+	done map[int]qtrace.Query
+}
+
+func (o *completionCopies) QueryDone(int, sim.Time) {}
+
+func (o *completionCopies) QueryDoneAt(id int, _, _ sim.Time) {
+	q := *o.log.Query(id)
+	q.Intervals = slices.Clone(q.Intervals)
+	q.Attribution = slices.Clone(q.Attribution)
+	o.done[id] = q
+}
+
+// TestClusterQueryFinalAtCompletion: no query's timeline, attribution or
+// completion time changes after Log.Completed — the property that lets
+// the flight recorder cut its window from the live log after the run.
+// The cached run covers cache-hit and coalesced completions as well as
+// scattered merges.
+func TestClusterQueryFinalAtCompletion(t *testing.T) {
+	cached := config.DefaultCluster()
+	cached.CacheEntries = 32
+	for _, tc := range []struct {
+		name string
+		cfg  config.ClusterConfig
+	}{{"default", config.DefaultCluster()}, {"cache32", cached}} {
+		t.Run(tc.name, func(t *testing.T) {
+			const n = 128
+			obs := &completionCopies{done: map[int]qtrace.Query{}}
+			c, err := New(tc.cfg, testModel(), qtrace.Options{Observer: obs})
+			if err != nil {
+				t.Fatal(err)
+			}
+			obs.log = c.QLog()
+			for i := 0; i < n; i++ {
+				c.SubmitAt(sim.Time(i) * 2 * sim.Millisecond)
+			}
+			if err := c.Run(); err != nil {
+				t.Fatal(err)
+			}
+			if len(obs.done) != n {
+				t.Fatalf("observed %d completions, want %d", len(obs.done), n)
+			}
+			if c.CacheEnabled() {
+				if st := c.CacheStats(); st.Hits == 0 || st.Coalesced == 0 {
+					t.Fatalf("cache stats %+v: want both hits and coalesced queries", st)
+				}
+			}
+			for id, want := range obs.done {
+				if got := *c.QLog().Query(id); !reflect.DeepEqual(got, want) {
+					t.Fatalf("query %d changed after completion:\n got %+v\nwant %+v", id, got, want)
+				}
+			}
+		})
 	}
 }
 

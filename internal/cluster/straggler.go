@@ -9,7 +9,7 @@ import (
 )
 
 // Straggler attribution: every scatter-gather merge is completed by
-// exactly one shard response — the last of the quorum to arrive. That
+// exactly one shard response — the last to arrive. That
 // leg is the query's critical shard, and its internal breakdown (queue
 // wait at the replica's GAM, device execution, wire time) says *why* the
 // query's tail looked the way it did. Records are written in the
@@ -193,6 +193,7 @@ func StragglerTable(recs []StragglerRecord) *report.Table {
 		return nil
 	}
 	t := &report.Table{
+		// "The quorum" here is every shard; goldens pin the title byte for byte.
 		Title: "Straggler attribution — critical shard per merge (which leg completed the quorum, and why it was last)",
 		Columns: []string{
 			"critical leg", "merges", "share %", "dominant cause",

@@ -40,10 +40,6 @@ type ClusterConfig struct {
 	// RouteSeed seeds the router's choice sampling (p2c).
 	RouteSeed int64 `json:"route_seed"`
 
-	// Quorum is how many shard responses complete a query; 0 means all
-	// shards (the default scatter-gather merge).
-	Quorum int `json:"quorum"`
-
 	// SkewExponent shapes the per-query Zipf skew of shard work: a query's
 	// rerank candidates concentrate in a few clusters, so one shard's
 	// share of its work is much larger than the others'. 0 is uniform.
@@ -172,9 +168,6 @@ func (c *ClusterConfig) Validate() error {
 				seen[n] = true
 			}
 		}
-	}
-	if c.Quorum < 0 || c.Quorum > c.Shards {
-		return fmt.Errorf("cluster: quorum %d out of range 0..%d (0 means all shards)", c.Quorum, c.Shards)
 	}
 	if !linkGBps(c.NetGBps) {
 		return fmt.Errorf("cluster: net_gbps must be positive%s, got %v", finiteBps, c.NetGBps)

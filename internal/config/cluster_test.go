@@ -54,9 +54,6 @@ func TestClusterValidateNamesBadEntry(t *testing.T) {
 		{"bad policy", func(c *ClusterConfig) {
 			c.RoutePolicy = "sticky"
 		}, `unknown route_policy "sticky"`},
-		{"bad quorum", func(c *ClusterConfig) {
-			c.Quorum = 9
-		}, "quorum 9 out of range"},
 		{"bad net", func(c *ClusterConfig) {
 			c.NetGBps = 0
 		}, "net_gbps must be positive"},

@@ -123,9 +123,6 @@ func usableCluster(c *ClusterConfig) error {
 			seen[n] = true
 		}
 	}
-	if c.Quorum < 0 || c.Quorum > c.Shards {
-		return fmt.Errorf("quorum %d", c.Quorum)
-	}
 	if !linkRate(c.NetGBps) {
 		return fmt.Errorf("net_gbps = %v is not a link bandwidth", c.NetGBps)
 	}

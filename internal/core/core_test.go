@@ -180,6 +180,11 @@ func TestCrossJobPipeliningImprovesThroughput(t *testing.T) {
 		if !last.Done() {
 			t.Fatal("last job incomplete")
 		}
+		// The gate reads only the oldest open job, so a drained GAM
+		// keeps no finished job alive.
+		if n := len(s.GAM().jobs); n != 0 {
+			t.Fatalf("pipelined=%v: drained GAM still holds %d jobs", pipelined, n)
+		}
 		return last.FinishedAt
 	}
 	serial := run(false)

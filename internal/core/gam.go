@@ -20,7 +20,10 @@ type GAM struct {
 
 	readyQ  map[accel.Level][]*TaskNode
 	claimed map[accel.Accelerator]*TaskNode
-	jobs    []*Job
+	// jobs is the submission-order FIFO from the oldest open job on: a job
+	// is released once it and every job submitted before it finished, so
+	// jobs[0] is always open and a drained GAM holds no job.
+	jobs []*Job
 
 	// streamBufs holds one registered stream buffer (the shared-layer
 	// TokenQueue) per src→dst level pair, created on first use. Every
@@ -262,12 +265,10 @@ func (g *GAM) armDispatch() {
 // oldestOpenJob returns the first unfinished job (the gate used when
 // cross-job pipelining is disabled).
 func (g *GAM) oldestOpenJob() *Job {
-	for _, j := range g.jobs {
-		if !j.done {
-			return j
-		}
+	if len(g.jobs) == 0 {
+		return nil
 	}
-	return nil
+	return g.jobs[0]
 }
 
 // dispatchAll drains every level's ready queue onto idle devices.
@@ -614,6 +615,10 @@ func (j *Job) Fire(eng *sim.Engine, _ uint64) {
 	j.done = true
 	j.FinishedAt = eng.Now()
 	g.stats.JobsCompleted++
+	for len(g.jobs) > 0 && g.jobs[0].done {
+		g.jobs[0] = nil
+		g.jobs = g.jobs[1:]
+	}
 	if g.qlog != nil {
 		g.qlog.Completed(j.QueryID, j.FinishedAt)
 	}

@@ -8,9 +8,8 @@ import (
 )
 
 // BenchmarkRecorderQueryDone is the enabled-path overhead gate: one
-// completion through an armed recorder in steady state — retention copy,
-// window eviction, the observability point and all three detector
-// evaluations. The healthy stream below never triggers, so every
+// completion through an armed recorder in steady state — window
+// eviction, the observability point and all three detector evaluations. The healthy stream below never triggers, so every
 // iteration pays the full always-on cost. Compare against the cluster's
 // per-query budget (~145 allocs, ~70µs modelled work): the recorder must
 // stay a small fraction of it.

@@ -1,8 +1,8 @@
-// Package flight is the cluster's always-on black-box recorder: a set of
+// Package flight is the cluster's always-on black-box recorder: two
 // bounded sliding rings that continuously retain the last W sim-
-// milliseconds of observability data — per-query timelines (through a
-// qtrace.Retainer on the front end's completion stream), per-domain
-// barrier snapshots, router queue depths and cache counters — plus an
+// milliseconds of observability data — one entry per query completion
+// (its id, router queue depths and cache counters) and per-domain
+// barrier snapshots — plus an
 // online detector layer that watches the same stream for anomalies: SLO
 // burn-rate breach over short and long trailing windows (multi-window,
 // error-budget style), hot-shard queue divergence (max/median outstanding
@@ -12,6 +12,11 @@
 // table, barrier/mailbox stats, detector verdict with the triggering time
 // series — can be cut after the run (cmd/reachsim's -flight bundle
 // writer).
+//
+// The retained query ids index the live query log: a query never changes
+// after its completion (the cluster merges on its last shard response),
+// so the bundle's timelines are cut from the log after the run instead of
+// being copied into the ring.
 //
 // Determinism. Both recorder inputs are already serialised by the
 // engine's determinism machinery: query completions fire in the front-end
@@ -162,15 +167,19 @@ type ObsPoint struct {
 	HitLong  float64 `json:"hit_long"`
 }
 
-// obsEntry is the ring-internal observation: the point plus the raw
-// cumulative values trailing-window deltas are computed from.
+// obsEntry is the ring-internal observation: the completed query's id,
+// the point, and the raw cumulative values trailing-window deltas are
+// computed from.
 type obsEntry struct {
 	at       sim.Time
+	id       int
 	breached bool
 	lookups  uint64
 	hits     uint64
 	pt       ObsPoint
 }
+
+func (e obsEntry) stamp() sim.Time { return e.at }
 
 // DomainStat is one domain's position in a barrier sample.
 type DomainStat struct {
@@ -188,6 +197,35 @@ type BarrierSample struct {
 	Round      uint64       `json:"round"`
 	Final      bool         `json:"final"`
 	Domains    []DomainStat `json:"domains"`
+}
+
+func (s BarrierSample) stamp() sim.Time { return s.at }
+
+// ring is a sliding window over time-stamped entries in nondecreasing
+// stamp order: push appends, then releases every head entry stamped
+// before the cut, and compacts once the dead prefix dominates, so
+// maintenance is O(1) amortised and memory is bounded by the window.
+type ring[T interface{ stamp() sim.Time }] struct {
+	buf  []T
+	head int
+}
+
+// live returns the retained entries, oldest first (the ring's storage).
+func (r *ring[T]) live() []T { return r.buf[r.head:] }
+
+func (r *ring[T]) push(e T, cut sim.Time) {
+	r.buf = append(r.buf, e)
+	var zero T
+	for r.head < len(r.buf) && r.buf[r.head].stamp() < cut {
+		r.buf[r.head] = zero // release for GC
+		r.head++
+	}
+	if r.head > 64 && r.head > len(r.buf)/2 {
+		n := copy(r.buf, r.buf[r.head:])
+		clear(r.buf[n:])
+		r.buf = r.buf[:n]
+		r.head = 0
+	}
 }
 
 // Verdict is the detector outcome a bundle is cut around. Detector is ""
@@ -236,18 +274,15 @@ type Status struct {
 // overlap; the scalar status fields scraped over HTTP are behind a mutex.
 type Recorder struct {
 	cfg Config
-	ret *qtrace.Retainer
+	log *qtrace.Log
 
 	loads   func(dst []int) []int
 	cacheFn func() (lookups, hits uint64)
 	scratch []int
 	median  []int
 
-	obs     []obsEntry
-	obsHead int
-
-	bars    []BarrierSample
-	barHead int
+	obs  ring[obsEntry]
+	bars ring[BarrierSample]
 
 	mu          sync.Mutex
 	completions uint64
@@ -259,20 +294,19 @@ type Recorder struct {
 }
 
 // New creates a recorder with the given configuration (zero fields take
-// defaults). Call AttachLog before the run so retained completions carry
-// their timelines.
+// defaults). Call AttachLog before the run so the window's query ids
+// resolve to timelines.
 func New(cfg Config) *Recorder {
-	cfg = cfg.withDefaults()
 	return &Recorder{
-		cfg:        cfg,
-		ret:        qtrace.NewRetainer(cfg.Window),
+		cfg:        cfg.withDefaults(),
 		detections: make(map[string]uint64),
 	}
 }
 
-// AttachLog binds the recorder's retainer to the query log whose
-// completion stream it observes.
-func (r *Recorder) AttachLog(l *qtrace.Log) { r.ret.Attach(l) }
+// AttachLog binds the recorder to the query log whose completion stream
+// it observes; WindowLog and WindowQueries read the retained queries out
+// of it.
+func (r *Recorder) AttachLog(l *qtrace.Log) { r.log = l }
 
 // SetLoadProvider attaches the per-node outstanding-queue source (the
 // cluster router's LoadsInto). Called once per completion; the recorder
@@ -288,9 +322,9 @@ func (r *Recorder) SetCacheProvider(fn func() (lookups, hits uint64)) { r.cacheF
 // completion instants, which arrive through QueryDoneAt.
 func (r *Recorder) QueryDone(int, sim.Time) {}
 
-// QueryDoneAt implements qtrace.ObserverAt: retain the completed query,
-// fold one detector observation into the ring, and — when armed — run
-// the detectors. The first trigger freezes every ring.
+// QueryDoneAt implements qtrace.ObserverAt: fold one detector
+// observation for the completed query into the ring and — when armed —
+// run the detectors. The first trigger freezes every ring.
 func (r *Recorder) QueryDoneAt(id int, at, latency sim.Time) {
 	r.mu.Lock()
 	if r.frozen {
@@ -299,34 +333,19 @@ func (r *Recorder) QueryDoneAt(id int, at, latency sim.Time) {
 	}
 	r.mu.Unlock()
 
-	r.ret.QueryDoneAt(id, at, latency)
-
-	e := obsEntry{at: at, breached: latency > r.cfg.Objective}
+	e := obsEntry{at: at, id: id, breached: latency > r.cfg.Objective}
 	if r.cacheFn != nil {
 		e.lookups, e.hits = r.cacheFn()
 	}
 	e.pt = r.observe(at, latency, e)
-	r.obs = append(r.obs, e)
-	cut := at - r.cfg.Window
-	for r.obsHead < len(r.obs) && r.obs[r.obsHead].at < cut {
-		r.obs[r.obsHead] = obsEntry{}
-		r.obsHead++
-	}
-	if r.obsHead > 64 && r.obsHead > len(r.obs)/2 {
-		n := copy(r.obs, r.obs[r.obsHead:])
-		for i := n; i < len(r.obs); i++ {
-			r.obs[i] = obsEntry{}
-		}
-		r.obs = r.obs[:n]
-		r.obsHead = 0
-	}
+	r.obs.push(e, at-r.cfg.Window)
 
 	r.mu.Lock()
 	r.completions++
 	if e.breached {
 		r.breaches++
 	}
-	r.retained = r.ret.Len()
+	r.retained = len(r.obs.live())
 	r.mu.Unlock()
 
 	if !r.cfg.Detect {
@@ -357,8 +376,9 @@ func (r *Recorder) observe(at, latency sim.Time, cur obsEntry) ObsPoint {
 	if cur.breached {
 		shortB, longB = 1, 1
 	}
-	for i := len(r.obs) - 1; i >= r.obsHead; i-- {
-		e := &r.obs[i]
+	obs := r.obs.live()
+	for i := len(obs) - 1; i >= 0; i-- {
+		e := &obs[i]
 		if e.at < longCut {
 			break
 		}
@@ -410,9 +430,10 @@ func (r *Recorder) observe(at, latency sim.Time, cur obsEntry) ObsPoint {
 // baseline finds the newest ring entry strictly before cut (zero counters
 // when the whole ring is inside the window).
 func (r *Recorder) baseline(cut sim.Time) obsEntry {
-	for i := len(r.obs) - 1; i >= r.obsHead; i-- {
-		if r.obs[i].at < cut {
-			return r.obs[i]
+	obs := r.obs.live()
+	for i := len(obs) - 1; i >= 0; i-- {
+		if obs[i].at < cut {
+			return obs[i]
 		}
 	}
 	return obsEntry{}
@@ -445,7 +466,8 @@ func (r *Recorder) evaluate(pt ObsPoint) (name, reason string) {
 	if pt.HitLong >= 0 && pt.HitShort >= 0 && pt.HitLong-pt.HitShort >= cacheDrop {
 		// Gate on short-window traffic so a lull does not read as collapse.
 		// The caller appended the current entry last, so obs is non-empty.
-		cur := r.obs[len(r.obs)-1]
+		obs := r.obs.live()
+		cur := obs[len(obs)-1]
 		base := r.baseline(cur.at - c.shortWindow())
 		if cur.lookups-base.lookups >= cacheMinLookups {
 			return DetectorCacheDrop, fmt.Sprintf(
@@ -471,6 +493,7 @@ func (r *Recorder) trigger(name, reason string, at sim.Time, pt ObsPoint) {
 // buildVerdict assembles the verdict from ring state (caller is on the
 // simulation side, or post-run).
 func (r *Recorder) buildVerdict(name, reason string, at sim.Time, pt *ObsPoint) *Verdict {
+	obs := r.obs.live()
 	v := &Verdict{
 		Detector:    name,
 		Reason:      reason,
@@ -478,13 +501,13 @@ func (r *Recorder) buildVerdict(name, reason string, at sim.Time, pt *ObsPoint) 
 		Completions: r.completions,
 		Breaches:    r.breaches,
 		Observed:    pt,
-		Series:      make([]ObsPoint, 0, len(r.obs)-r.obsHead),
+		Series:      make([]ObsPoint, 0, len(obs)),
 	}
 	if name != "" {
 		v.TriggerMS = at.Milliseconds()
 	}
-	for i := r.obsHead; i < len(r.obs); i++ {
-		v.Series = append(v.Series, r.obs[i].pt)
+	for i := range obs {
+		v.Series = append(v.Series, obs[i].pt)
 	}
 	if r.loads != nil {
 		v.RouterLoads = append([]int(nil), r.loads(make([]int, 0, 8))...)
@@ -506,8 +529,8 @@ func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 		return
 	}
 	now := m.Now()
-	if n := len(r.bars); n > r.barHead {
-		last := r.bars[n-1].at
+	if bars := r.bars.live(); len(bars) > 0 {
+		last := bars[len(bars)-1].at
 		if final {
 			if now == last {
 				return
@@ -530,20 +553,7 @@ func (r *Recorder) OnBarrier(m *sim.MultiEngine, mailboxes []int, final bool) {
 			Executed: d.Executed(),
 		})
 	}
-	r.bars = append(r.bars, s)
-	cut := now - r.cfg.Window
-	for r.barHead < len(r.bars) && r.bars[r.barHead].at < cut {
-		r.bars[r.barHead] = BarrierSample{}
-		r.barHead++
-	}
-	if r.barHead > 64 && r.barHead > len(r.bars)/2 {
-		n := copy(r.bars, r.bars[r.barHead:])
-		for i := n; i < len(r.bars); i++ {
-			r.bars[i] = BarrierSample{}
-		}
-		r.bars = r.bars[:n]
-		r.barHead = 0
-	}
+	r.bars.push(s, now-r.cfg.Window)
 }
 
 // Frozen reports whether a detector fired.
@@ -557,9 +567,11 @@ func (r *Recorder) Frozen() bool {
 // newest retained event (completion or barrier) and spans the configured
 // window, clamped at time zero.
 func (r *Recorder) Window() (from, to sim.Time) {
-	_, to = r.ret.Bounds()
-	if n := len(r.bars); n > r.barHead {
-		if bt := r.bars[n-1].at; bt > to {
+	if obs := r.obs.live(); len(obs) > 0 {
+		to = obs[len(obs)-1].at
+	}
+	if bars := r.bars.live(); len(bars) > 0 {
+		if bt := bars[len(bars)-1].at; bt > to {
 			to = bt
 		}
 	}
@@ -570,16 +582,47 @@ func (r *Recorder) Window() (from, to sim.Time) {
 	return from, to
 }
 
-// WindowLog rebuilds a self-contained qtrace.Log of the retained queries
-// (see qtrace.Retainer.WindowLog).
-func (r *Recorder) WindowLog() *qtrace.Log { return r.ret.WindowLog() }
+// WindowLog rebuilds a self-contained qtrace.Log holding exactly the
+// retained queries — timelines, attributions and latency sketch — by
+// replaying them in QueryID order. The result is what a full-run Log
+// would look like had the run consisted of only the in-window queries,
+// so every exporter that consumes a Log (the Chrome trace builder, the
+// straggler reducers) works on the window unchanged.
+func (r *Recorder) WindowLog() *qtrace.Log {
+	qs := r.WindowQueries()
+	sort.Slice(qs, func(i, j int) bool { return qs[i].ID < qs[j].ID })
+	l := qtrace.NewLog(qtrace.Options{})
+	for i := range qs {
+		q := &qs[i]
+		l.Submitted(q.ID, q.Job, q.Arrival)
+		for _, iv := range q.Intervals {
+			l.Add(q.ID, iv)
+		}
+		l.Completed(q.ID, q.Done)
+	}
+	return l
+}
 
-// WindowQueries returns copies of the retained queries, completion order.
-func (r *Recorder) WindowQueries() []qtrace.Query { return r.ret.Queries() }
+// WindowQueries returns copies of the retained queries, completion order
+// (none without an attached log). The copies share their interval and
+// attribution storage with the log; treat them as read-only.
+func (r *Recorder) WindowQueries() []qtrace.Query {
+	if r.log == nil {
+		return nil
+	}
+	obs := r.obs.live()
+	out := make([]qtrace.Query, 0, len(obs))
+	for i := range obs {
+		if q := r.log.Query(obs[i].id); q != nil {
+			out = append(out, *q)
+		}
+	}
+	return out
+}
 
 // BarrierWindow returns the retained barrier samples, oldest first.
 func (r *Recorder) BarrierWindow() []BarrierSample {
-	return append([]BarrierSample(nil), r.bars[r.barHead:]...)
+	return append([]BarrierSample(nil), r.bars.live()...)
 }
 
 // Verdict returns the frozen verdict when a detector fired, or assembles
@@ -591,8 +634,8 @@ func (r *Recorder) Verdict() Verdict {
 	r.mu.Unlock()
 	if v == nil {
 		var last *ObsPoint
-		if len(r.obs) > r.obsHead {
-			p := r.obs[len(r.obs)-1].pt
+		if obs := r.obs.live(); len(obs) > 0 {
+			p := obs[len(obs)-1].pt
 			last = &p
 		}
 		nv := r.buildVerdict("", "", 0, nil)

@@ -1,6 +1,7 @@
 package flight
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -11,16 +12,68 @@ import (
 func ms(n int) sim.Time { return sim.Time(n) * sim.Millisecond }
 
 // feed plays n completions through a log observed by the recorder, one
-// arrival per millisecond, using lat(i) as each query's service time.
+// arrival per millisecond, using lat(i) as each query's service time
+// (recorded as one exec interval).
 func feed(r *Recorder, n int, lat func(i int) sim.Time) *qtrace.Log {
 	l := qtrace.NewLog(qtrace.Options{Observer: r})
 	r.AttachLog(l)
 	for i := 0; i < n; i++ {
 		at := ms(i)
 		l.Submitted(i, i, at)
+		l.Add(i, qtrace.Interval{Phase: qtrace.PhaseExec, Stage: "FE", Start: at, End: at + lat(i)})
 		l.Completed(i, at+lat(i))
 	}
 	return l
+}
+
+// TestWindowLogCutsRetainedQueries: the window's queries are cut from the
+// live log by the ids in the observation ring — exactly the completions
+// within the trailing window, with their timelines and attributions, and
+// a rebuilt log whose latency sketch covers them alone.
+func TestWindowLogCutsRetainedQueries(t *testing.T) {
+	r := New(Config{Window: 10 * sim.Millisecond})
+	// Latencies vary by under 1 ms, so completions stay in arrival order.
+	full := feed(r, 100, func(i int) sim.Time { return ms(2) + sim.Time(i%3)*300*sim.Microsecond })
+	// Newest completion at 101 ms; retained: Done >= 91 ms → qids 89..99.
+	wq := r.WindowQueries()
+	if len(wq) != 11 || wq[0].ID != 89 || wq[10].ID != 99 || r.Status().Retained != 11 {
+		t.Fatalf("window holds %d queries (status %d), want qids 89..99", len(wq), r.Status().Retained)
+	}
+	if from, to := r.Window(); from != ms(91) || to != ms(101) {
+		t.Fatalf("window = [%v, %v], want [91ms, 101ms]", from, to)
+	}
+	wl := r.WindowLog()
+	want := qtrace.NewSketch(0)
+	for i, q := range wl.Queries() {
+		orig := full.Query(wq[i].ID)
+		if q.ID != orig.ID || q.Job != orig.Job || q.Arrival != orig.Arrival || q.Done != orig.Done ||
+			!reflect.DeepEqual(q.Intervals, orig.Intervals) || !reflect.DeepEqual(q.Attribution, orig.Attribution) {
+			t.Fatalf("window query %+v diverged from the log's %+v", *q, *orig)
+		}
+		want.Add(orig.Latency())
+	}
+	if got := wl.Sketch(); got.Count() != 11 || wl.CompletedCount() != 11 {
+		t.Fatalf("window log holds %d completions, sketch %d, want 11", wl.CompletedCount(), got.Count())
+	}
+	for _, p := range []float64{0.5, 0.99} {
+		if got, w := wl.Sketch().Quantile(p), want.Quantile(p); got != w {
+			t.Fatalf("window p%v = %v, want %v over the retained queries", 100*p, got, w)
+		}
+	}
+
+	// A long run crosses the ring's compaction threshold many times.
+	r2 := New(Config{Window: sim.Millisecond})
+	feed(r2, 500, func(int) sim.Time { return ms(2) })
+	if got := r2.WindowQueries(); len(got) != 2 || got[0].ID != 498 || got[1].ID != 499 {
+		t.Fatalf("1 ms window retained %d queries, want qids 498, 499", len(got))
+	}
+
+	// Without an attached log the window has no queries to cut.
+	bare := New(Config{})
+	bare.QueryDoneAt(0, ms(1), ms(1))
+	if len(bare.WindowQueries()) != 0 || bare.WindowLog().CompletedCount() != 0 {
+		t.Fatal("a recorder without a log produced window queries")
+	}
 }
 
 // TestConfigDefaults: zero fields resolve to the documented defaults and
